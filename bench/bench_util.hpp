@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "experiment/fault_cli.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/flags.hpp"
 #include "experiment/scenario.hpp"
 
 namespace moon::bench {
@@ -93,42 +92,39 @@ class JsonEmitter {
   std::vector<std::vector<std::pair<std::string, Value>>> rows_;
 };
 
-/// `--trace=FILE` / `--metrics=FILE` / `--events=FILE` / `--faults=SPEC`
-/// support for the fig benches. A bench sweeps many configurations;
-/// exporting every run would overwrite itself, so the convention is:
-/// collection is enabled on every swept config and the *last* finished
-/// run's bundle wins — rerun with a narrower sweep (e.g. MOON_BENCH_REPS=1)
-/// to trace a specific cell. `--faults=` layers the same chaos spec on every
-/// swept config. All no-ops when no flag was given.
+/// experiment::ScenarioFlags for the fig benches. A bench sweeps many
+/// configurations; exporting every run would overwrite itself, so the
+/// convention is: collection is enabled on every swept config and the
+/// *last* finished run's bundle wins — rerun with a narrower sweep (e.g.
+/// MOON_BENCH_REPS=1) to trace a specific cell. `--faults=` layers the same
+/// chaos spec on every swept config. All no-ops when no flag was given.
 class ObsBench {
  public:
   ObsBench(int& argc, char** argv)
-      : cli_(experiment::parse_obs_cli(argc, argv)),
-        faults_(experiment::parse_faults_cli(argc, argv)) {}
+      : flags_(experiment::parse_scenario_flags(argc, argv)) {}
 
-  [[nodiscard]] bool any() const { return cli_.any(); }
+  [[nodiscard]] bool any() const { return flags_.any_obs(); }
 
   /// Switches collection / fault injection on for `cfg` when flags were
-  /// given. A malformed --faults= spec exits (already reported to stderr).
+  /// given.
   void apply(experiment::ScenarioConfig& cfg) const {
-    cli_.apply(cfg.obs);
-    if (!faults_.apply(cfg.faults)) std::exit(2);
+    flags_.apply(cfg);
+    flags_.apply_obs(cfg.obs);
   }
 
   /// run_repetitions observer: remembers the latest run's bundle.
   [[nodiscard]] std::function<void(const experiment::RunResult&)> observer() {
-    if (!cli_.any()) return {};
+    if (!flags_.any_obs()) return {};
     return [this](const experiment::RunResult& run) {
       if (run.obs) bundle_ = run.obs;
     };
   }
 
   /// Writes the captured bundle's exports (call once, at bench exit).
-  void export_all() const { cli_.export_run(bundle_.get()); }
+  void export_all() const { flags_.export_run(bundle_.get()); }
 
  private:
-  experiment::ObsCli cli_;
-  experiment::FaultCli faults_;
+  experiment::ScenarioFlags flags_;
   std::shared_ptr<obs::Observability> bundle_;
 };
 

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "experiment/fault_cli.hpp"
+#include "experiment/flags.hpp"
 
 using namespace moon;
 
@@ -65,7 +65,8 @@ experiment::ScenarioConfig base(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::FaultCli extra = experiment::parse_faults_cli(argc, argv);
+  const experiment::ScenarioFlags extra =
+      experiment::parse_scenario_flags(argc, argv);
   const std::vector<std::pair<std::string, std::string>> variants{
       {"none", ""},
       {"outages", "outages"},
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   std::int64_t violations = 0;
   for (const auto& [name, spec] : variants) {
     auto cfg = base(spec);
-    if (!extra.apply(cfg.faults)) return 2;
+    extra.apply(cfg);
 
     double repair_bytes = 0.0;
     std::int64_t injected = 0;

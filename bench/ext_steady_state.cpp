@@ -28,7 +28,6 @@
 //
 // `--faults=SPEC` replaces the built-in chaos spec of the faulted cells.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -112,28 +111,13 @@ experiment::MultiJobConfig steady_config(double rate,
   return cfg;
 }
 
-/// Flattened stream verdict: two runs of one cell must agree byte for byte.
-std::string fingerprint(const experiment::MultiJobResult& r) {
-  std::ostringstream os;
-  os << r.submitted_jobs << '|' << r.completed_jobs << '|' << r.aborted_jobs
-     << '|' << r.shed_jobs << '|' << r.dnf_jobs << '|' << r.rejected_jobs
-     << '|' << r.sla_eligible_jobs << '|' << r.sla_missed_jobs << '|'
-     << r.admission.offered << '|' << r.admission.admitted << '|'
-     << r.admission.rejected << '|' << r.admission.deferred << '|'
-     << r.admission.shed << '|' << r.admission_sequence_hash << '|'
-     << r.jobs_retired << '|' << r.peak_live_jobs << '|'
-     << r.fault_stats.total_injected() << '|' << r.quarantines;
-  os << '|' << std::hexfloat << r.makespan_s << '|' << r.mean_latency_s << '|'
-     << r.p99_latency_s << '|' << r.jain_fairness;
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::FaultCli fault_cli = experiment::parse_faults_cli(argc, argv);
+  const experiment::ScenarioFlags flags =
+      experiment::parse_scenario_flags(argc, argv);
   const std::string chaos_spec =
-      fault_cli.spec.empty() ? "outages,heartbeats:0.05" : fault_cli.spec;
+      flags.faults.empty() ? "outages,heartbeats:0.05" : flags.faults;
 
   const std::vector<double> rates{0.3, 0.5};
   // The cluster clears ~80 of these small jobs/hour: 15 s interarrivals
@@ -171,12 +155,13 @@ int main(int argc, char** argv) {
               steady_config(rate, interarrival, fault_spec, variant);
           const auto first = experiment::run_multi_job_scenario(cfg);
           const auto second = experiment::run_multi_job_scenario(cfg);
-          const std::string fp1 = fingerprint(first);
-          if (fp1 != fingerprint(second)) {
+          const std::string fp1 = experiment::fingerprint(first);
+          if (fp1 != experiment::fingerprint(second)) {
             std::cerr << "NONDETERMINISTIC: " << load_name << " rate=" << rate
                       << " faults=" << fault_name
                       << " admission=" << variant.name << "\n  run1: " << fp1
-                      << "\n  run2: " << fingerprint(second) << "\n";
+                      << "\n  run2: " << experiment::fingerprint(second)
+                      << "\n";
             ++failures;
           }
           if (first.audit_violations != 0) {

@@ -13,7 +13,7 @@
 #include <memory>
 
 #include "common/table.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/flags.hpp"
 #include "experiment/scenario.hpp"
 #include "mapred/job.hpp"
 #include "mapred/jobtracker.hpp"
@@ -30,7 +30,7 @@ struct DemoResult {
   mapred::JobMetrics metrics;
 };
 
-DemoResult run(bool checkpointing, const experiment::ObsCli& obs_cli) {
+DemoResult run(bool checkpointing, const experiment::ScenarioFlags& flags) {
   sim::Simulation sim(42);
   cluster::Cluster cluster(sim);
   cluster::NodeConfig vcfg;
@@ -55,9 +55,9 @@ DemoResult run(bool checkpointing, const experiment::ObsCli& obs_cli) {
 
   // Hand-wired observability (only the checkpointing variant exports).
   std::unique_ptr<obs::Observability> bundle;
-  if (obs_cli.any() && checkpointing) {
+  if (flags.any_obs() && checkpointing) {
     obs::ObsConfig ocfg;
-    obs_cli.apply(ocfg);
+    flags.apply_obs(ocfg);
     bundle = std::make_unique<obs::Observability>(ocfg, sim);
     if (auto* tracer = bundle->tracer()) {
       tracer->name_process(obs::kClusterPid, "cluster");
@@ -104,7 +104,7 @@ DemoResult run(bool checkpointing, const experiment::ObsCli& obs_cli) {
   result.execution_time_s = job.metrics().execution_time_s();
   if (bundle) {
     bundle->finalize();
-    obs_cli.export_run(bundle.get());
+    flags.export_run(bundle.get());
   }
   return result;
 }
@@ -112,12 +112,13 @@ DemoResult run(bool checkpointing, const experiment::ObsCli& obs_cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
+  const experiment::ScenarioFlags flags =
+      experiment::parse_scenario_flags(argc, argv);
   std::cout << "=== Reduce checkpoint/resume demo ===\n\n";
   std::cout << "with checkpointing:\n";
-  const DemoResult warm = run(/*checkpointing=*/true, obs_cli);
+  const DemoResult warm = run(/*checkpointing=*/true, flags);
   std::cout << "without checkpointing:\n";
-  const DemoResult cold = run(/*checkpointing=*/false, obs_cli);
+  const DemoResult cold = run(/*checkpointing=*/false, flags);
 
   Table table("killed-reduce recovery, 600 s reduce compute");
   table.columns({"variant", "time (s)", "ckpts written", "ckpt bytes (MiB)",

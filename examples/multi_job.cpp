@@ -17,9 +17,8 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "experiment/admission_cli.hpp"
+#include "experiment/flags.hpp"
 #include "experiment/multi_job.hpp"
-#include "experiment/obs_cli.hpp"
 #include "mapred/job_policy.hpp"
 
 using namespace moon;
@@ -79,20 +78,18 @@ experiment::MultiJobConfig config(mapred::SchedulerConfig::JobPolicy policy) {
 
 int main(int argc, char** argv) {
   using JobPolicy = mapred::SchedulerConfig::JobPolicy;
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
-  const experiment::AdmissionCli adm_cli =
-      experiment::parse_admission_cli(argc, argv);
+  const experiment::ScenarioFlags flags =
+      experiment::parse_scenario_flags(argc, argv);
   std::vector<JobPolicy> policies = {JobPolicy::kFifo, JobPolicy::kFairShare,
                                      JobPolicy::kShortestRemaining};
   // A deadline mix makes the EDF policy meaningful; add its pass.
-  if (adm_cli.deadline_s > 0.0) policies.push_back(JobPolicy::kDeadlineEdf);
+  if (flags.deadline_s > 0.0) policies.push_back(JobPolicy::kDeadlineEdf);
   for (JobPolicy policy : policies) {
     auto cfg = config(policy);
-    if (!adm_cli.apply(cfg.base.sched.admission)) return 1;
-    adm_cli.apply_deadline(cfg.arrivals);
-    if (policy == JobPolicy::kFifo) obs_cli.apply(cfg.base.obs);
+    flags.apply(cfg);
+    if (policy == JobPolicy::kFifo) flags.apply_obs(cfg.base.obs);
     const auto result = experiment::run_multi_job_scenario(cfg);
-    if (policy == JobPolicy::kFifo) obs_cli.export_run(result.obs.get());
+    if (policy == JobPolicy::kFifo) flags.export_run(result.obs.get());
 
     Table table(std::string("Policy: ") + mapred::to_string(policy) +
                 " — 4-job stream, 8 volatile + 2 dedicated, rate 0.3");
@@ -117,10 +114,10 @@ int main(int argc, char** argv) {
                 << result.admission.shed << ", deferred "
                 << result.admission.deferred << "\n";
     }
-    if (adm_cli.deadline_s > 0.0) {
+    if (flags.deadline_s > 0.0) {
       std::cout << "  SLA: " << result.sla_missed_jobs << "/"
                 << result.sla_eligible_jobs << " missed (deadline "
-                << adm_cli.deadline_s << " s)\n";
+                << flags.deadline_s << " s)\n";
     }
     std::cout << "\n";
   }

@@ -18,13 +18,14 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/flags.hpp"
 #include "experiment/scenario.hpp"
 
 using namespace moon;
 
 int main(int argc, char** argv) {
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
+  const experiment::ScenarioFlags flags =
+      experiment::parse_scenario_flags(argc, argv);
 
   experiment::ScenarioConfig cfg;
   cfg.volatile_nodes = 60;
@@ -41,10 +42,10 @@ int main(int argc, char** argv) {
   cfg.obs.trace = true;
   cfg.obs.metrics = true;
   cfg.obs.capture_log = true;
-  obs_cli.apply(cfg.obs);  // flags only pick the export destinations here
+  flags.apply_obs(cfg.obs);  // flags only pick the export destinations here
 
   const auto run = experiment::run_scenario(cfg);
-  obs_cli.export_run(run.obs.get());
+  flags.export_run(run.obs.get());
 
   std::cout << "sort on 60 volatile + 4 dedicated nodes, rate 0.3: "
             << (run.finished ? "finished" : "DNF") << " in "
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
               << " metric samples x " << run.obs->metrics()->gauge_count()
               << " gauges, " << run.obs->events().size() << " log records\n";
   }
-  if (!obs_cli.any()) {
+  if (!flags.any_obs()) {
     std::cout << "hint: rerun with --trace=trace.json --metrics=metrics.csv "
                  "--events=events.jsonl to export\n";
   }

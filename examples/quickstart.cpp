@@ -13,8 +13,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "experiment/fault_cli.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/flags.hpp"
 #include "experiment/scenario.hpp"
 
 using namespace moon;
@@ -38,9 +37,8 @@ experiment::ScenarioConfig base_config(double rate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
-  const experiment::FaultCli fault_cli =
-      experiment::parse_faults_cli(argc, argv);
+  const experiment::ScenarioFlags flags =
+      experiment::parse_scenario_flags(argc, argv);
   const double rate = argc > 1 ? std::atof(argv[1]) : 0.4;
 
   std::cout << "MOON quickstart: sort-like job, 20 volatile + 2 dedicated "
@@ -55,7 +53,7 @@ int main(int argc, char** argv) {
   hadoop.input_factor = {0, 3};
   hadoop.intermediate_factor = {0, 1};  // map-local only, like stock Hadoop
   hadoop.output_factor = {0, 3};
-  if (!fault_cli.apply(hadoop.faults)) return 2;
+  flags.apply(hadoop);
   const auto hadoop_run = experiment::run_scenario(hadoop);
 
   // --- MOON: hybrid replication + two-phase scheduling ---
@@ -65,10 +63,10 @@ int main(int argc, char** argv) {
   moon.input_factor = {1, 3};
   moon.intermediate_factor = {1, 1};
   moon.output_factor = {1, 3};
-  obs_cli.apply(moon.obs);
-  if (!fault_cli.apply(moon.faults)) return 2;
+  flags.apply(moon);
+  flags.apply_obs(moon.obs);
   const auto moon_run = experiment::run_scenario(moon);
-  obs_cli.export_run(moon_run.obs.get());
+  flags.export_run(moon_run.obs.get());
 
   Table table("Hadoop vs MOON on an opportunistic cluster");
   table.columns({"policy", "finished", "time (s)", "duplicated tasks",
@@ -84,7 +82,7 @@ int main(int argc, char** argv) {
   row("MOON (hybrid)", moon_run);
   table.print(std::cout);
 
-  if (fault_cli.any()) {
+  if (!flags.faults.empty()) {
     const auto& fs = moon_run.fault_stats;
     std::cout << "\nchaos (MOON run): " << fs.outages_injected
               << " lab outages, " << fs.heartbeats_dropped << "+"

@@ -29,6 +29,11 @@ struct Dfs::Op {
   Done done_;
   obs::Tracer::SpanId span_;  ///< open trace span (invalid when tracing off)
   Bytes charge_ = 0;          ///< partial-read bytes counted in-flight
+  /// Finished or cancelled. A probe that calls into the network can see its
+  /// own op close under it (a settle fires the last transfer's completion);
+  /// Dfs::probe_op keeps the op alive until the probe returns, and the probe
+  /// must stop as soon as this is set.
+  bool closed_ = false;
 };
 
 struct Dfs::WriteOp final : Dfs::Op {
@@ -177,10 +182,19 @@ struct Dfs::WriteOp final : Dfs::Op {
     }
     if (current_ >= blocks_.size()) return;
     auto& net = dfs_.cluster_.network();
-    // Drop transfers that are stalled on an unavailable target.
+    // Drop transfers that are stalled on an unavailable target. rate() may
+    // settle the network and fire replica completions (removing entries, or
+    // closing the block and the op), so walk a snapshot.
+    std::vector<FlowId> flows;
+    flows.reserve(inflight_.size());
+    for (const auto& [flow, target] : inflight_) flows.push_back(flow);
     std::vector<FlowId> stalled;
-    for (const auto& [flow, target] : inflight_) {
-      if (net.rate(flow) == 0.0 && !dfs_.cluster_.node(target).available()) {
+    for (FlowId flow : flows) {
+      const bool idle = net.rate(flow) == 0.0;
+      if (closed_) return;
+      const auto it = inflight_.find(flow);
+      if (it != inflight_.end() && idle &&
+          !dfs_.cluster_.node(it->second).available()) {
         stalled.push_back(flow);
       }
     }
@@ -191,6 +205,9 @@ struct Dfs::WriteOp final : Dfs::Op {
         inflight_.erase(flow);
       }
     }
+    // Closing the batch settles, which can land the last live replica and
+    // finish the op.
+    if (closed_) return;
     if (!inflight_.empty()) return;  // others still moving
     if (committed_ > 0) {
       // At least one replica landed; close the block under-replicated.
@@ -337,7 +354,11 @@ struct Dfs::ReadOp final : Dfs::Op {
     if (!flow_.valid()) return;
     if (!dfs_.cluster_.node(reader_).available()) return;  // reader suspended
     auto& net = dfs_.cluster_.network();
-    if (net.rate(flow_) > 0.0) return;
+    const FlowId flow = flow_;
+    if (net.rate(flow) > 0.0) return;
+    // rate() may settle the network and complete this very transfer, which
+    // finishes the op or retries from another replica.
+    if (closed_ || flow_ != flow) return;
     if (!dfs_.namenode_.available()) {
       // Stalled while the master is down: keep waiting. Re-picking a source
       // needs the (wiped) replica map; recovery restores it first.
@@ -422,10 +443,7 @@ void Dfs::recover_namenode() {
   ids.reserve(ops_.size());
   for (const auto& [id, op] : ops_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before any op is probed
   std::sort(ids.begin(), ids.end());
-  for (OpId id : ids) {
-    auto it = ops_.find(id);
-    if (it != ops_.end()) it->second->probe();
-  }
+  for (OpId id : ids) probe_op(id);
   // Refill the repair pipeline from the post-recovery sweep's queue.
   start_repair_streams();
 }
@@ -586,10 +604,12 @@ void Dfs::cancel_op(OpId op) {
   auto it = ops_.find(op);
   if (it == ops_.end()) return;
   it->second->abort();
+  it->second->closed_ = true;
   partial_inflight_ -= it->second->charge_;
   if (auto* tracer = sim_.tracer()) {
     tracer->end(it->second->span_, sim_.now(), {{"outcome", "cancelled"}});
   }
+  if (it->second.get() == probing_) probed_closed_ = std::move(it->second);
   ops_.erase(it);
 }
 
@@ -600,11 +620,13 @@ void Dfs::finish_op(OpId id, bool ok) {
   // others, and must not observe this op as active.
   std::unique_ptr<Op> op = std::move(it->second);
   ops_.erase(it);
+  op->closed_ = true;
   partial_inflight_ -= op->charge_;
   if (auto* tracer = sim_.tracer()) {
     tracer->end(op->span_, sim_.now(), {{"outcome", ok ? "ok" : "failed"}});
   }
   if (op->done_) op->done_(ok);
+  if (op.get() == probing_) probed_closed_ = std::move(op);
 }
 
 void Dfs::debug_dump(std::ostream& os) const {
@@ -651,10 +673,16 @@ void Dfs::probe_ops() {
   ids.reserve(ops_.size());
   for (const auto& [id, op] : ops_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before any op is probed
   std::sort(ids.begin(), ids.end());
-  for (OpId id : ids) {
-    auto it = ops_.find(id);
-    if (it != ops_.end()) it->second->probe();
-  }
+  for (OpId id : ids) probe_op(id);
+}
+
+void Dfs::probe_op(OpId id) {
+  auto it = ops_.find(id);
+  if (it == ops_.end()) return;
+  probing_ = it->second.get();
+  probing_->probe();
+  probing_ = nullptr;
+  probed_closed_.reset();
 }
 
 void Dfs::replication_scan() {

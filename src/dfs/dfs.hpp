@@ -119,6 +119,9 @@ class Dfs {
   struct Repair;
 
   void probe_ops();
+  /// Runs one op's stall probe. An op that finishes or is cancelled during
+  /// its own probe stays alive (closed) until the probe returns.
+  void probe_op(OpId id);
   void replication_scan();
   void start_repair_streams();
   void finish_op(OpId id, bool ok);
@@ -136,6 +139,8 @@ class Dfs {
   NameNode namenode_;
   std::vector<std::unique_ptr<DataNode>> datanodes_;  // indexed by node id
   std::unordered_map<OpId, std::unique_ptr<Op>> ops_;
+  Op* probing_ = nullptr;               ///< op whose probe() is running
+  std::unique_ptr<Op> probed_closed_;   ///< it, once closed mid-probe
   std::unordered_map<FlowId, Repair> repairs_;
   OpId next_op_ = 1;
   Bytes partial_inflight_ = 0;

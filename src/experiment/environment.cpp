@@ -258,4 +258,37 @@ Environment::Environment(const ScenarioConfig& config)
   }
 }
 
+void collect_counters(Environment& env, RunCounters& out) {
+  moon::mapred::JobTracker& jt = *env.jobtracker;
+  out.replication_queue_depth = env.dfs->namenode().replication_queue_depth();
+  out.profile = env.sim.profiler().snapshot();
+  out.dfs_stats = env.dfs->stats();
+  if (env.injector) out.fault_stats = env.injector->stats();
+  out.quarantines = jt.quarantines_total();
+  if (env.nn_journal) {
+    out.journal_records = env.nn_journal->stats().records_appended +
+                          env.jt_journal->stats().records_appended;
+    out.journal_snapshots = env.nn_journal->stats().snapshots_taken +
+                            env.jt_journal->stats().snapshots_taken;
+    out.journal_divergences = env.nn_journal->stats().divergences +
+                              env.jt_journal->stats().divergences;
+  }
+  out.heartbeats_missed = jt.heartbeats_missed();
+  out.reports_parked = jt.reports_parked();
+  out.reports_replayed = jt.reports_replayed();
+  out.reregistrations = jt.reregistrations();
+  out.orphans_killed = jt.orphans_killed();
+  if (env.auditor) {
+    env.auditor->run();  // one final sweep at the end-of-run state
+    out.audit_passes = env.auditor->passes();
+    out.audit_violations = env.auditor->violations_total();
+  }
+  // Detach observability before the environment (which the gauges probe)
+  // goes away; the finalized bundle rides out in the result.
+  if (env.obs) {
+    env.obs->finalize();
+    out.obs = env.obs;
+  }
+}
+
 }  // namespace moon::experiment

@@ -1,8 +1,6 @@
 // Shared scenario environment: the trace -> cluster -> DFS -> JobTracker
-// wiring that both run_scenario and run_multi_job_scenario sit on. One
-// construction path keeps the two harnesses structurally identical — the
-// single-arrival kFifo golden test (bit-identity between them) holds by
-// shared code, not by a hand-maintained mirror.
+// wiring the stream runner (run_multi_job_scenario, and through it
+// run_scenario) sits on, plus the end-of-run counter collection.
 #pragma once
 
 #include <memory>
@@ -22,6 +20,7 @@
 namespace moon::experiment {
 
 struct ScenarioConfig;
+struct RunCounters;
 
 /// Builds and starts the full stack for one scenario run: nodes typed per
 /// `dedicated_known`, availability traces installed on the volatile fleet,
@@ -63,5 +62,11 @@ class Environment {
   /// destructor order here is a backstop: obs tears down first).
   std::shared_ptr<moon::obs::Observability> obs;
 };
+
+/// End of run: fills `out` with the cluster-wide counters (DFS, profile,
+/// faults, quarantines, journals, JobTracker recovery, audit), running the
+/// auditor's final sweep first, and finalizes the observability bundle into
+/// `out.obs` — after this the environment may be torn down.
+void collect_counters(Environment& env, RunCounters& out);
 
 }  // namespace moon::experiment

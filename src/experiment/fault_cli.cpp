@@ -1,7 +1,6 @@
 #include "experiment/fault_cli.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/time.hpp"
@@ -86,21 +85,6 @@ bool apply_fault_spec(const std::string& spec, faults::FaultConfig& config) {
     config.enabled = true;
   }
   return true;
-}
-
-FaultCli parse_faults_cli(int& argc, char** argv) {
-  FaultCli cli;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--faults=", 9) == 0) {
-      cli.spec = arg + 9;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  return cli;
 }
 
 }  // namespace moon::experiment

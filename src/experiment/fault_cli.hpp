@@ -1,8 +1,5 @@
-// Shared `--faults=SPEC` command-line handling for examples and benches.
-//
-// parse_faults_cli() strips the flag out of argv (same convention as
-// obs_cli: positional-argument parsing stays untouched) and apply() turns
-// the spec into a faults::FaultConfig. SPEC is a comma-separated list:
+// The `--faults=SPEC` grammar (the flag itself is parsed with the others in
+// experiment/flags.hpp). SPEC is a comma-separated list:
 //
 //   all              every fault class at its canonical chaos level
 //   outages          correlated lab power-cycles (config defaults)
@@ -10,6 +7,7 @@
 //   storage[:P]      replica corruption + disk-full; P sets both (0.02)
 //   stragglers[:F]   seeded capacity degradation; F = fleet fraction (0.1)
 //   audit[:SECONDS]  periodic invariant auditor sweep (60)
+//   master_crash[:S] NameNode + JobTracker crash/recovery; S = mean downtime
 //
 // e.g. `quickstart --faults=all,audit:30` or
 //      `bench_fig7 --faults=heartbeats:0.1,storage`.
@@ -26,21 +24,5 @@ namespace moon::experiment {
 /// reports to stderr on a malformed token; `config` may be partially
 /// updated in that case.
 bool apply_fault_spec(const std::string& spec, faults::FaultConfig& config);
-
-struct FaultCli {
-  std::string spec;  ///< raw --faults= value; empty when the flag was absent
-
-  [[nodiscard]] bool any() const { return !spec.empty(); }
-
-  /// Applies the captured spec; no-op when the flag was absent. Returns
-  /// false on a malformed spec (already reported to stderr).
-  bool apply(faults::FaultConfig& config) const {
-    return spec.empty() || apply_fault_spec(spec, config);
-  }
-};
-
-/// Extracts `--faults=SPEC` from argv, compacting the remaining arguments
-/// in place and updating argc.
-FaultCli parse_faults_cli(int& argc, char** argv);
 
 }  // namespace moon::experiment

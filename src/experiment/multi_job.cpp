@@ -28,9 +28,6 @@ double jain_index(const std::vector<double>& samples) {
 MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
   const ScenarioConfig& base = config.base;
 
-  // Shared with run_scenario (same RNG fork tags, same construction/start
-  // order), so a single-arrival kFifo stream is bit-identical to the
-  // single-job path.
   Environment env(base);
   sim::Simulation& sim = env.sim;
   dfs::Dfs& dfs = *env.dfs;
@@ -122,9 +119,7 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
     outcome.run.outputs_committed =
         job.all_maps_done() && job.all_reduces_done();
     outcome.run.execution_time_s =
-        job.finished()
-            ? job.metrics().execution_time_s()
-            : sim::to_seconds(sim.now() - job.metrics().submitted_at);
+        job.metrics().completed ? job.metrics().execution_time_s() : latency_s;
     outcome.latency_s = latency_s;
     outcome.queue_wait_s = job.metrics().queue_wait_s();
     outcomes[i] = std::move(outcome);
@@ -286,20 +281,7 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
     result.admission = admission->stats();
     result.admission_sequence_hash = admission->sequence_hash();
   }
-  result.replication_queue_depth = dfs.namenode().replication_queue_depth();
-  result.profile = sim.profiler().snapshot();
-  result.dfs_stats = dfs.stats();
-  if (env.injector) result.fault_stats = env.injector->stats();
-  result.quarantines = jobtracker.quarantines_total();
-  if (env.auditor) {
-    env.auditor->run();  // one final sweep at the end-of-run state
-    result.audit_passes = env.auditor->passes();
-    result.audit_violations = env.auditor->violations_total();
-  }
-  if (env.obs) {
-    env.obs->finalize();
-    result.obs = env.obs;
-  }
+  collect_counters(env, result);
   return result;
 }
 

@@ -1,12 +1,11 @@
 // Multi-job experiment harness (DESIGN.md §10, §16): wires one opportunistic
 // cluster + DFS + JobTracker, replays a JobArrivalStream into it, and
-// collects per-job RunResults plus stream-level metrics (makespan, mean/p95
+// collects per-job JobRuns plus stream-level metrics (makespan, mean/p95
 // job latency, Jain fairness index, SLA misses, admission outcomes).
 //
-// The environment setup is the same experiment::Environment run_scenario
-// uses (shared construction path, same RNG fork tags and startup order), so
-// a kFifo stream with a single arrival reproduces the single-job schedule
-// bit for bit — asserted by tests/experiment/multi_job_test.cpp.
+// This is the simulator's one runner: run_scenario (experiment/scenario.hpp)
+// is a one-arrival stream through it, and both collect the cluster-wide
+// RunCounters with the same collect_counters() (experiment/environment.hpp).
 //
 // Steady-state serving (DESIGN.md §16): arrivals route through the
 // JobTracker's AdmissionController when base.sched.admission.enabled, and
@@ -63,10 +62,12 @@ struct JobOutcome {
   sim::Time submitted_at = 0;
   double latency_s = 0.0;        ///< completion - arrival (horizon if DNF)
   double queue_wait_s = 0.0;     ///< submission -> first launched attempt
-  RunResult run;                 ///< per-job metrics/progress snapshot
+  JobRun run;                    ///< per-job metrics/progress snapshot
 };
 
-struct MultiJobResult {
+/// A stream run: stream aggregates plus the cluster's counters (one DFS,
+/// JobTracker and fault injector serve every job).
+struct MultiJobResult : RunCounters {
   std::vector<JobOutcome> jobs;  ///< empty when retain_job_results == false
   int submitted_jobs = 0;  ///< arrivals admitted to the JobTracker
   int completed_jobs = 0;
@@ -113,28 +114,16 @@ struct MultiJobResult {
   /// FNV-1a over the controller's (decision, time) sequence; equal hashes
   /// across same-seed runs certify bit-identical admit/reject/shed streams.
   std::uint64_t admission_sequence_hash = 0;
-
-  std::size_t replication_queue_depth = 0;
-  // Fault-injection & audit accounting, cluster-wide (zero when faults off).
-  faults::FaultStats fault_stats{};
-  std::int64_t quarantines = 0;
-  std::int64_t audit_passes = 0;
-  std::int64_t audit_violations = 0;
-  /// Host wall-clock profile of the whole stream run (shared simulator).
-  sim::Profiler::Snapshot profile{};
-  dfs::DfsStats dfs_stats;  ///< cluster-wide (the DFS is shared by all jobs)
-  /// Control-plane cost across the stream — the profiler's kHeartbeat view.
-  [[nodiscard]] double scheduling_wall_ms() const {
-    return profile[static_cast<std::size_t>(sim::Profiler::Key::kHeartbeat)]
-        .ms();
-  }
-  /// The run's observability bundle (null when base.obs was all-off).
-  std::shared_ptr<obs::Observability> obs;
 };
 
 /// Runs the arrival stream to completion (or base.max_sim_time). Arrivals
 /// past the horizon never fire and are not reported as jobs.
 MultiJobResult run_multi_job_scenario(const MultiJobConfig& config);
+
+/// Every simulated field of a stream result (per-job outcomes included),
+/// flattened into one line; never a host-time field. See
+/// fingerprint(const RunResult&).
+std::string fingerprint(const MultiJobResult& result);
 
 /// Jain fairness index (sum x)^2 / (n * sum x^2) over positive samples;
 /// 1.0 for empty/degenerate input.

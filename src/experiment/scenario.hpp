@@ -1,6 +1,6 @@
-// Experiment harness: wires trace -> cluster -> DFS -> MapReduce for one
-// simulated job run, exposes the paper's policy presets, and aggregates
-// repeated runs.
+// Experiment harness: configures one simulated job run (trace -> cluster ->
+// DFS -> MapReduce, run as a one-arrival stream by experiment/multi_job),
+// exposes the paper's policy presets, and aggregates repeated runs.
 //
 // Cluster layouts:
 //  * MOON mode      — V volatile + D dedicated nodes; the framework knows
@@ -86,13 +86,29 @@ struct ScenarioConfig {
   faults::FaultConfig faults;
 };
 
-struct RunResult {
+/// One job's outcome: its metrics plus an end-of-run progress snapshot.
+struct JobRun {
   mapred::JobMetrics metrics;
-  dfs::DfsStats dfs_stats;
   int num_maps = 0;
   int num_reduces = 0;
   bool finished = false;  ///< completed within the horizon
-  double execution_time_s = 0.0;  ///< horizon time if DNF
+  /// Completion time if finished; otherwise seconds from the job's arrival
+  /// (not a JobTracker-delayed submission) to the horizon or its failure.
+  double execution_time_s = 0.0;
+  // End-of-run progress snapshot (diagnoses DNF runs).
+  int completed_maps = 0;
+  int completed_reduces = 0;
+  bool outputs_committed = false;  ///< all reduces done, waiting on factors
+  [[nodiscard]] int duplicated_tasks() const {
+    return metrics.duplicated_tasks(num_maps, num_reduces);
+  }
+};
+
+/// Cluster-wide counters of one run, shared by every job on it; filled by
+/// collect_counters() (experiment/environment.hpp).
+struct RunCounters {
+  dfs::DfsStats dfs_stats;
+  std::size_t replication_queue_depth = 0;
   /// Host wall-clock profile of the run's hot paths (settle/recompute, DFS
   /// probes, replication scans, heartbeats, speculation) — what the next
   /// perf PR should look at before guessing.
@@ -107,11 +123,6 @@ struct RunResult {
   /// The run's observability bundle (null when config.obs was all-off);
   /// finalized — trace/metrics/event log are complete and exportable.
   std::shared_ptr<obs::Observability> obs;
-  // End-of-run progress snapshot (diagnoses DNF runs).
-  int completed_maps = 0;
-  int completed_reduces = 0;
-  bool outputs_committed = false;  ///< all reduces done, waiting on factors
-  std::size_t replication_queue_depth = 0;
   // Fault-injection & audit accounting (all zero when config.faults is off).
   faults::FaultStats fault_stats{};
   std::int64_t quarantines = 0;      ///< flaky-node quarantine entries
@@ -127,13 +138,20 @@ struct RunResult {
   std::int64_t reports_replayed = 0;     ///< parked reports delivered post-recovery
   std::int64_t reregistrations = 0;      ///< trackers re-registered at recovery
   std::int64_t orphans_killed = 0;       ///< attempts reconciled away post-recovery
-  [[nodiscard]] int duplicated_tasks() const {
-    return metrics.duplicated_tasks(num_maps, num_reduces);
-  }
 };
 
-/// Runs one job to completion (or the horizon) and collects everything.
+/// A single-job run: the job plus the cluster's counters.
+struct RunResult : JobRun, RunCounters {};
+
+/// Runs one job to completion (or the horizon) and collects everything: a
+/// one-arrival stream (`config.app` at `config.submit_at`) through
+/// run_multi_job_scenario (experiment/multi_job.hpp).
 RunResult run_scenario(const ScenarioConfig& config);
+
+/// Every simulated field of a result, flattened into one line; never a
+/// host-time field (profile, obs). Two runs of one config and seed must
+/// print the same string (the determinism contract, DESIGN.md §2).
+std::string fingerprint(const RunResult& result);
 
 // ---- policy presets (paper §VI) -------------------------------------------
 

@@ -526,8 +526,9 @@ void Job::kill_attempt(TaskAttempt& attempt) {
 }
 
 void Job::kill_attempts_on(TaskTracker& tracker) {
+  // The tracker hosts every job's attempts; each job kills only its own.
   for (TaskAttempt* attempt : tracker.all_attempts()) {
-    kill_attempt(*attempt);
+    if (&attempt->job() == this) kill_attempt(*attempt);
   }
 }
 

@@ -73,6 +73,7 @@ class TaskAttempt {
   void kill();
 
   [[nodiscard]] AttemptId id() const { return id_; }
+  [[nodiscard]] const Job& job() const { return job_; }
   [[nodiscard]] TaskId task() const { return task_; }
   [[nodiscard]] TaskTracker& tracker() { return tracker_; }
   [[nodiscard]] const TaskTracker& tracker() const { return tracker_; }

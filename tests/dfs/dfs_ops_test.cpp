@@ -259,6 +259,33 @@ TEST_F(DfsOpsTest, WriteRepicksTargetWhenTargetDies) {
   EXPECT_GE(nn().live_replicas(b).volatile_count, 1);
 }
 
+// Regression: the stall probe drops a replica stalled on a dead target,
+// and closing its CapacityBatch settles the network, which lands the other
+// replica — the last one in flight — and finishes the write. The probe must
+// stop there instead of reading the op it just finished.
+TEST_F(DfsOpsTest, StallProbeStopsWhenItsWriteFinishesUnderIt) {
+  DfsConfig config;
+  config.client_probe_interval = sim::kSecond;
+  build(config, /*volatiles=*/2, /*dedicated=*/0);
+  const FileId f = nn().create_file("x", FileKind::kOpportunistic, {0, 2});
+  std::optional<bool> result;
+  sim::Time done_at = -1;
+  // Both replicas share the writer's 50 MiB/s disk, 25 MiB/s each. The
+  // remote target drops at 0.5 s; the local replica then runs alone and
+  // is due at exactly 1 s, when the probe (scheduled earlier) runs first.
+  dfs_->write_file(f, volatile_ids_[0], mib(37.5), [&](bool ok) {
+    result = ok;
+    done_at = sim_.now();
+  });
+  sim_.schedule_at(500 * sim::kMillisecond,
+                   [&] { cluster_->node(volatile_ids_[1]).set_available(false); });
+  advance(sim::kMinute);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(*result);
+  EXPECT_EQ(done_at, sim::kSecond);
+  EXPECT_EQ(dfs_->active_ops(), 0u);
+}
+
 TEST_F(DfsOpsTest, UnderReplicatedBlockIsRepairedInBackground) {
   build();
   const FileId f = dfs_->stage_file("x", FileKind::kOpportunistic, {0, 3},

@@ -144,5 +144,46 @@ TEST(Scenario, HorizonBoundsRuntime) {
   EXPECT_LE(result.execution_time_s, 60.0);
 }
 
+// run_scenario is a one-arrival job stream; the next two pin the single-job
+// edge cases it has to keep.
+
+TEST(Scenario, DnfAfterDelayedSubmitCountsFromTheArrival) {
+  auto cfg = small_config();
+  // The JobTracker is down from 30 s to 150 s, across the 60 s submit: the
+  // client retries every 5 s until it is back, and the horizon cuts the
+  // late-started job short.
+  cfg.faults.enabled = true;
+  cfg.faults.master_crash.enabled = true;
+  cfg.faults.master_crash.namenode = false;
+  cfg.faults.master_crash.mean_interval = 1;
+  cfg.faults.master_crash.min_interval = 30 * sim::kSecond;
+  cfg.faults.master_crash.mean_downtime = 1;
+  cfg.faults.master_crash.min_downtime = 2 * sim::kMinute;
+  cfg.faults.master_crash.max_crashes = 1;
+  cfg.max_sim_time = 3 * sim::kMinute;
+  const RunResult r = run_scenario(cfg);
+  EXPECT_FALSE(r.finished);
+  EXPECT_EQ(r.metrics.submitted_at, 150 * sim::kSecond);
+  // Counted from cfg.submit_at, not from the delayed submission.
+  EXPECT_EQ(r.execution_time_s, 120.0);
+  EXPECT_EQ(r.num_maps, 20);
+  EXPECT_EQ(r.num_reduces, 4);
+  EXPECT_EQ(r.completed_maps, 19);
+  EXPECT_EQ(r.completed_reduces, 0);
+}
+
+TEST(Scenario, SubmitAtOrPastTheHorizonReportsAnUnstartedJob) {
+  for (const sim::Duration past : {sim::Duration{0}, sim::kMinute}) {
+    auto cfg = small_config();
+    cfg.max_sim_time = cfg.submit_at - past;
+    const RunResult r = run_scenario(cfg);
+    EXPECT_FALSE(r.finished);
+    EXPECT_EQ(r.num_maps, 20);
+    EXPECT_EQ(r.num_reduces, 4);
+    EXPECT_EQ(r.completed_maps, 0);
+    EXPECT_EQ(r.execution_time_s, 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace moon::experiment

@@ -15,24 +15,6 @@
 namespace moon::experiment {
 namespace {
 
-struct Outcome {
-  bool finished = false;
-  double execution_time_s = 0.0;
-  int launched_maps = 0;
-  int launched_reduces = 0;
-  int speculative = 0;
-  int killed_maps = 0;
-  int killed_reduces = 0;
-  int map_reexecutions = 0;
-  int checkpoints_written = 0;
-  int checkpoint_resumes = 0;
-  std::int64_t bytes_read = 0;
-  std::int64_t bytes_written = 0;
-  std::int64_t replication_bytes = 0;
-
-  bool operator==(const Outcome&) const = default;
-};
-
 ScenarioConfig small_config(const mapred::SchedulerConfig& sched,
                             std::uint64_t seed) {
   ScenarioConfig cfg;
@@ -50,24 +32,6 @@ ScenarioConfig small_config(const mapred::SchedulerConfig& sched,
   cfg.seed = seed;
   cfg.max_sim_time = 4 * sim::kHour;
   return cfg;
-}
-
-Outcome outcome_of(const RunResult& r) {
-  Outcome o;
-  o.finished = r.finished;
-  o.execution_time_s = r.execution_time_s;
-  o.launched_maps = r.metrics.launched_map_attempts;
-  o.launched_reduces = r.metrics.launched_reduce_attempts;
-  o.speculative = r.metrics.speculative_attempts;
-  o.killed_maps = r.metrics.killed_map_attempts;
-  o.killed_reduces = r.metrics.killed_reduce_attempts;
-  o.map_reexecutions = r.metrics.map_reexecutions;
-  o.checkpoints_written = r.metrics.checkpoints_written;
-  o.checkpoint_resumes = r.metrics.checkpoint_resumes;
-  o.bytes_read = r.dfs_stats.bytes_read;
-  o.bytes_written = r.dfs_stats.bytes_written;
-  o.replication_bytes = r.dfs_stats.replication_bytes;
-  return o;
 }
 
 /// Everything on, at maximum verbosity: heartbeat instants, log capture at
@@ -97,9 +61,9 @@ TEST(PerturbationTest, ObservabilityOnIsBitIdenticalToOff) {
       ScenarioConfig on = off;
       on.obs = all_on();
 
-      const Outcome baseline = outcome_of(run_scenario(off));
+      const std::string baseline = fingerprint(run_scenario(off));
       const RunResult instrumented_run = run_scenario(on);
-      EXPECT_EQ(outcome_of(instrumented_run), baseline);
+      EXPECT_EQ(fingerprint(instrumented_run), baseline);
 
       // And the instrumentation actually collected something — a vacuous
       // pass (obs silently disabled) must not count.

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "experiment/multi_job.hpp"
 #include "experiment/scenario.hpp"
 #include "workload/workload.hpp"
 
@@ -57,6 +58,29 @@ TEST(MasterFailover, JobSurvivesMasterCrashes) {
   EXPECT_EQ(result.audit_violations, 0);
   // Re-registration happened (trackers came back under the new epoch).
   EXPECT_GT(result.reregistrations, 0);
+}
+
+// The same crashes under a job stream: jobs overlap on the trackers, so the
+// recovered JobTracker's lost-tracker path must kill only each job's own
+// attempts, and the journal counters must reach the stream result.
+TEST(MasterFailover, StreamSurvivesMasterCrashes) {
+  MultiJobConfig cfg;
+  cfg.base = failover_config(7);
+  cfg.base.faults.audit_interval = sim::kMinute;
+  cfg.base.max_sim_time = sim::kHour;
+  cfg.arrivals.num_jobs = 0;  // open-ended to the horizon
+  cfg.arrivals.first_arrival = 30 * sim::kSecond;
+  cfg.arrivals.mean_interarrival = 40 * sim::kSecond;
+  cfg.arrivals.mix = {{cfg.base.app, 1.0}};
+  cfg.retain_job_results = false;
+  const MultiJobResult result = run_multi_job_scenario(cfg);
+  EXPECT_GT(result.fault_stats.master_recoveries, 0);
+  EXPECT_GT(result.journal_records, 0);
+  EXPECT_EQ(result.journal_divergences, 0);
+  EXPECT_GT(result.reregistrations, 0);
+  EXPECT_GT(result.completed_jobs, 10);
+  EXPECT_GT(result.audit_passes, 0);
+  EXPECT_EQ(result.audit_violations, 0);
 }
 
 TEST(MasterFailover, SameSeedReplaysBitIdentically) {
