@@ -19,8 +19,9 @@
 // exits non-zero on any divergence), so the wall-clock gap is pure
 // simulator cost. Each arm also reports the sim::Profiler breakdown
 // (settle/recompute, DFS probes, replication scans, heartbeats,
-// speculation) so the next perf PR starts from measurements. Emits
-// BENCH_e2e.json. MOON_BENCH_REPS controls repetitions (best-of);
+// speculation) and `solved_flows`, the flows the flow solver re-solved
+// (FlowNetwork::solved_flows), so the next perf PR starts from
+// measurements. Emits BENCH_e2e.json. MOON_BENCH_REPS controls repetitions (best-of);
 // MOON_E2E_NODES ("64,256") trims the sweep for smoke runs.
 #include <chrono>
 #include <cstdlib>
@@ -76,6 +77,7 @@ struct ArmResult {
   std::int64_t bytes_read = 0;
   std::int64_t bytes_written = 0;
   std::int64_t replication_bytes = 0;
+  std::uint64_t solved_flows = 0;
   sim::Profiler::Snapshot profile{};
 };
 
@@ -155,6 +157,7 @@ ArmResult run_arm(int nodes, sim::FairnessModel fairness,
   r.bytes_read = dfs.stats().bytes_read;
   r.bytes_written = dfs.stats().bytes_written;
   r.replication_bytes = dfs.stats().replication_bytes;
+  r.solved_flows = cluster.network().solved_flows();
   r.profile = simu.profiler().snapshot();
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
@@ -213,7 +216,8 @@ int main() {
   bench::JsonEmitter json("e2e");
   Table table("e2e_throughput");
   table.columns({"nodes", "fairness", "eager ms", "coalesced ms", "speedup",
-                 "settle ms (e/c)", "recompute calls (e/c)", "sim events"});
+                 "settle ms (e/c)", "recompute calls (e/c)",
+                 "solved flows (e/c)", "sim events"});
 
   bool met_target_at_1024 = false;
   bool ran_1024 = false;
@@ -256,6 +260,8 @@ int main() {
                Table::num(settle_ms(coalesced), 0),
            std::to_string(recomputes(eager)) + "/" +
                std::to_string(recomputes(coalesced)),
+           std::to_string(eager.solved_flows) + "/" +
+               std::to_string(coalesced.solved_flows),
            std::to_string(coalesced.events)});
       for (const auto* arm : {&eager, &coalesced}) {
         json.begin_row()
@@ -273,7 +279,8 @@ int main() {
             .field("sim_events", static_cast<std::int64_t>(arm->events))
             .field("bytes_read", arm->bytes_read)
             .field("bytes_written", arm->bytes_written)
-            .field("replication_bytes", arm->replication_bytes);
+            .field("replication_bytes", arm->replication_bytes)
+            .field("solved_flows", static_cast<std::int64_t>(arm->solved_flows));
         profile_fields(json, arm->profile);
       }
     }

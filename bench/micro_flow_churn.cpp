@@ -11,10 +11,13 @@
 //                  flips: the shipping configuration.
 //
 // Both arms replay the identical deterministic workload (the solvers are
-// bit-equivalent, so the simulated schedules match event for event; the
-// bench asserts identical completion counts and end states). Emits
-// BENCH_flow_churn.json with per-configuration wall times and the
-// incremental-arm speedup. MOON_BENCH_REPS controls repetitions (best-of).
+// bit-equivalent, so the simulated schedules match event for event). The
+// bench exits non-zero unless the arms agree on completion and event counts
+// and on a hash of the (completion time, flow id) sequence. Emits
+// BENCH_flow_churn.json with per-configuration wall times, the
+// incremental-arm speedup, and `solved_flows` — the flows the allocator
+// re-solved (FlowNetwork::solved_flows), an exact work counter.
+// MOON_BENCH_REPS controls repetitions (best-of).
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -38,7 +41,17 @@ struct ArmResult {
   double wall_ms = 0.0;
   long completions = 0;
   std::uint64_t events = 0;
+  std::uint64_t completion_hash = 0xcbf29ce484222325ULL;  // FNV-1a basis
+  std::uint64_t solved_flows = 0;
 };
+
+/// Folds the eight bytes of `v` into an FNV-1a hash.
+void fnv1a_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (i * 8)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+}
 
 // One churn run: `nodes` nodes, 2 flows/node kept in flight (each completion
 // chains a replacement until the issue budget is spent), one availability
@@ -63,7 +76,7 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
   const int concurrent = nodes * 2;
   const int issue_budget = concurrent + 1200;  // total flows over the run
   int issued = 0;
-  long completed = 0;
+  ArmResult r;
   Rng flow_rng{20100621};
   std::function<void()> spawn = [&] {
     if (issued >= issue_budget) return;
@@ -73,8 +86,10 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
     const auto dst = static_cast<std::size_t>(
         flow_rng.uniform_int(0, static_cast<std::int64_t>(nodes - 1)));
     const Bytes size = mib(0.5) + flow_rng.uniform_int(0, mib(3.5));
-    net.start_flow({nic_out[src], nic_in[dst], disk[dst]}, size, [&](FlowId) {
-      ++completed;
+    net.start_flow({nic_out[src], nic_in[dst], disk[dst]}, size, [&](FlowId id) {
+      ++r.completions;
+      fnv1a_fold(r.completion_hash, static_cast<std::uint64_t>(simu.now()));
+      fnv1a_fold(r.completion_hash, id.value());
       spawn();
     });
   };
@@ -107,9 +122,8 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
 
   simu.run_until(600 * sim::kSecond);
 
-  ArmResult r;
-  r.completions = completed;
   r.events = simu.executed_events();
+  r.solved_flows = net.solved_flows();
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
                   .count();
@@ -133,7 +147,7 @@ int main() {
   bench::JsonEmitter json("flow_churn");
   Table table("flow_churn");
   table.columns({"nodes", "fairness", "dense ms", "incremental ms", "speedup",
-                 "completions"});
+                 "completions", "solved flows (d/i)"});
 
   for (const int nodes : {64, 256, 1024}) {
     for (const auto model :
@@ -144,16 +158,21 @@ int main() {
           best_of(reps, sim::SolverMode::kDense, model, nodes, false);
       const ArmResult inc =
           best_of(reps, sim::SolverMode::kIncremental, model, nodes, true);
-      if (inc.completions != dense.completions || inc.events != dense.events) {
+      if (inc.completions != dense.completions || inc.events != dense.events ||
+          inc.completion_hash != dense.completion_hash) {
         std::cerr << "FATAL: solver arms diverged at " << nodes << " nodes ("
                   << fairness << "): " << dense.completions << " vs "
-                  << inc.completions << " completions\n";
+                  << inc.completions << " completions, hash " << std::hex
+                  << dense.completion_hash << " vs " << inc.completion_hash
+                  << std::dec << "\n";
         return 1;
       }
       const double speedup = dense.wall_ms / inc.wall_ms;
       table.add_row({std::to_string(nodes), fairness,
                      Table::num(dense.wall_ms, 1), Table::num(inc.wall_ms, 1),
-                     Table::num(speedup, 1), std::to_string(inc.completions)});
+                     Table::num(speedup, 1), std::to_string(inc.completions),
+                     std::to_string(dense.solved_flows) + "/" +
+                         std::to_string(inc.solved_flows)});
       for (const auto* arm : {&dense, &inc}) {
         json.begin_row()
             .field("nodes", static_cast<std::int64_t>(nodes))
@@ -162,6 +181,7 @@ int main() {
             .field("wall_ms", arm->wall_ms)
             .field("completions", static_cast<std::int64_t>(arm->completions))
             .field("sim_events", static_cast<std::int64_t>(arm->events))
+            .field("solved_flows", static_cast<std::int64_t>(arm->solved_flows))
             .field("speedup", arm == &dense ? 1.0 : speedup);
       }
     }

@@ -63,7 +63,6 @@ void CheckpointStore::emit(Snapshot snap, NodeId writer,
                       {{"outcome", ok ? "ok" : "failed"}});
         }
         if (ok) {
-          auto& nn = dfs_.namenode();
           ReduceCheckpoint& rec = records_[key];
           rec.job = shared->job;
           rec.task = shared->task;
@@ -72,7 +71,7 @@ void CheckpointStore::emit(Snapshot snap, NodeId writer,
             rec.blocks.clear();
             rec.bytes_logged = 0;
           }
-          const auto& meta = nn.file(file);
+          const auto& meta = dfs_.namenode().file(file);
           for (std::size_t i = pre_blocks; i < meta.blocks.size(); ++i) {
             rec.blocks.push_back(meta.blocks[i]);
           }

@@ -8,10 +8,9 @@ namespace moon::cluster {
 
 Node::Node(sim::Simulation& sim, sim::FlowNetwork& net, NodeId id, NodeConfig config)
     : sim_(sim), net_(net), id_(id), config_(config) {
-  const std::string label = "node" + std::to_string(id.value());
-  nic_in_ = net_.add_resource(config_.nic_in_bw, label + ".nic_in");
-  nic_out_ = net_.add_resource(config_.nic_out_bw, label + ".nic_out");
-  disk_ = net_.add_resource(config_.disk_bw, label + ".disk");
+  nic_in_ = net_.add_resource(config_.nic_in_bw);
+  nic_out_ = net_.add_resource(config_.nic_out_bw);
+  disk_ = net_.add_resource(config_.disk_bw);
 }
 
 void Node::set_available(bool up) {

@@ -42,19 +42,28 @@ FlowNetwork::~FlowNetwork() {
   if (coalesce_ == CoalesceMode::kCoalesced) sim_.remove_flush_hook(hook_);
 }
 
-FlowNetwork::ResourceId FlowNetwork::add_resource(BytesPerSecond capacity,
-                                                  std::string name) {
+FlowNetwork::ResourceId FlowNetwork::add_resource(BytesPerSecond capacity) {
   if (capacity < 0.0) throw std::logic_error("FlowNetwork: negative capacity");
   resources_.emplace_back();
   resources_.back().cap = capacity;
-  resources_.back().name = std::move(name);
   return resources_.size() - 1;
 }
 
 void FlowNetwork::set_capacity(ResourceId resource, BytesPerSecond capacity) {
   if (capacity < 0.0) throw std::logic_error("FlowNetwork: negative capacity");
   advance_progress();
-  resources_.at(resource).cap = capacity;
+  Resource& res = resources_.at(resource);
+  const bool was_down = down(resource);
+  res.cap = capacity;
+  if (down(resource) != was_down) {
+    for (const Link& l : res.flows) {
+      if (was_down) {
+        --slots_[l.slot].down_links;
+      } else {
+        ++slots_[l.slot].down_links;
+      }
+    }
+  }
   mark_resource_dirty(resource, /*cap_changed=*/true);
   maybe_settle();
 }
@@ -90,10 +99,12 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> resources, Bytes size,
   f.rate = 0.0;
   f.deadline = kTimeMax;
   f.on_complete = std::move(on_complete);
+  f.down_links = 0;
   for (std::size_t k = 0; k < f.resources.size(); ++k) {
     Resource& res = resources_[f.resources[k]];
     f.link_pos[k] = static_cast<std::uint32_t>(res.flows.size());
     res.flows.push_back(Link{slot, static_cast<std::uint32_t>(k)});
+    if (down(f.resources[k])) ++f.down_links;
   }
   f.live_prev = live_tail_;
   f.live_next = kNoSlot;
@@ -321,6 +332,7 @@ void FlowNetwork::settle() {
 void FlowNetwork::recompute() {
   Profiler::Scope profile(sim_.profiler(), Profiler::Key::kRecompute);
   if (solver_ == SolverMode::kDense) {
+    solved_flows_ += active_count_;  // the oracle re-solves every flow
     if (model_ == FairnessModel::kMaxMin) {
       recompute_dense_maxmin();
     } else {
@@ -527,9 +539,17 @@ void FlowNetwork::recompute_dense_bottleneck_share() {
 
 void FlowNetwork::recompute_region_maxmin() {
   // Allocations in disjoint components of the flow graph are independent, so
-  // progressive filling over the union of the dirty flows'/resources' whole
-  // components reproduces the global solve bit-for-bit on that region while
-  // leaving every other component's rates untouched.
+  // progressive filling over the union of the dirty seeds' whole components
+  // reproduces the global solve bit-for-bit on that region while leaving
+  // every other component's rates untouched.
+  //
+  // Stalled flows and down resources cut the graph. In the global solve
+  // every zero-capacity resource is a share-0 bottleneck that pops before
+  // any live one; its rounds freeze its flows at 0 and subtract 0.0 from
+  // every residual, leaving the live resources exactly as if the stalled
+  // flows had never been counted. So the region is the seeds' components
+  // among unstalled flows and live resources; a stalled flow it reaches is
+  // pinned at 0 and frozen, not expanded.
   ++stamp_;
   region_flows_.clear();
   region_resources_.clear();
@@ -537,6 +557,11 @@ void FlowNetwork::recompute_region_maxmin() {
     Flow& f = slots_[s];
     if (!f.id.valid() || f.visit_stamp == stamp_) return;
     f.visit_stamp = stamp_;
+    if (f.down_links > 0) {
+      f.fill_mark = true;
+      assign_rate(s, 0.0);
+      return;
+    }
     region_flows_.push_back(s);
   };
   auto visit_resource = [this](ResourceId r) {
@@ -548,7 +573,22 @@ void FlowNetwork::recompute_region_maxmin() {
   for (std::uint32_t s : dirty_flows_) {
     if (s < slots_.size()) visit_flow(s);
   }
-  for (ResourceId r : dirty_resources_) visit_resource(r);
+  for (ResourceId r : dirty_resources_) {
+    if (!down(r)) {
+      visit_resource(r);
+      continue;
+    }
+    // A down seed only matters when its capacity changed: its flows stall,
+    // and the live resources they cross lost their load. (A removal on it
+    // seeded the removed flow's live resources already.)
+    if (!resources_[r].cap_dirty) continue;
+    for (const Link& l : resources_[r].flows) {
+      visit_flow(l.slot);
+      for (ResourceId r2 : slots_[l.slot].resources) {
+        if (!down(r2)) visit_resource(r2);
+      }
+    }
+  }
   for (std::size_t fi = 0, ri = 0;
        fi < region_flows_.size() || ri < region_resources_.size();) {
     if (fi < region_flows_.size()) {
@@ -561,6 +601,7 @@ void FlowNetwork::recompute_region_maxmin() {
       ++ri;
     }
   }
+  solved_flows_ += region_flows_.size();
 
   // Progressive filling restricted to the region. Bottleneck selection uses
   // a lazily-invalidated min-heap of (share, resource) instead of a scan of
@@ -638,14 +679,7 @@ void FlowNetwork::recompute_region_maxmin() {
 
 void FlowNetwork::update_share_status(std::uint32_t slot) {
   Flow& f = slots_[slot];
-  bool stalled = false;
-  for (ResourceId r : f.resources) {
-    if (resources_[r].cap <= 0.0) {
-      stalled = true;
-      break;
-    }
-  }
-  const bool counted = !stalled;
+  const bool counted = f.down_links == 0;
   if (counted == f.share_counted) return;
   f.share_counted = counted;
   for (ResourceId r : f.resources) {
@@ -697,6 +731,7 @@ void FlowNetwork::recompute_incremental_bottleneck_share() {
       assign_rate(s, 0.0);  // stalled
       continue;
     }
+    ++solved_flows_;
     if (f.resources.empty()) {
       assign_rate(s, kInfinity);
       continue;

@@ -17,7 +17,10 @@
 // The solver is incremental (see DESIGN.md §8): churn re-rates only the
 // dirty region of the flow graph, completions pop from a lazy min-heap of
 // projected deadlines, and `CapacityBatch` coalesces multi-resource churn
-// (a node availability flip) into a single settle. The pre-incremental
+// (a node availability flip) into a single settle. Max-min recompute costs
+// O(unstalled dirty component): stalled flows and down resources cut the
+// graph (exactly — see DESIGN.md §8), so churn never re-solves the flows a
+// down node pins at rate 0. The pre-incremental
 // dense solver is retained behind `SolverMode::kDense` as the equivalence
 // oracle and the benchmark baseline; both modes produce bit-identical
 // simulated outcomes.
@@ -36,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +51,8 @@ namespace moon::sim {
 /// Rate-allocation strategy.
 enum class FairnessModel {
   /// Exact max-min fairness via progressive filling. Churn costs
-  /// O(dirty component); use for correctness-sensitive scenarios and tests.
+  /// O(unstalled dirty component); use for correctness-sensitive scenarios
+  /// and tests.
   kMaxMin,
   /// Bottleneck-share approximation: rate = min over the flow's resources of
   /// capacity / flow-count. Never over-subscribes a resource, but forgoes
@@ -133,7 +136,7 @@ class FlowNetwork {
   };
 
   /// Registers a capacity-limited resource (bytes/second).
-  ResourceId add_resource(BytesPerSecond capacity, std::string name = {});
+  ResourceId add_resource(BytesPerSecond capacity);
 
   /// Changes a resource's capacity (0 = stalled); live flows re-share.
   void set_capacity(ResourceId resource, BytesPerSecond capacity);
@@ -152,6 +155,12 @@ class FlowNetwork {
   [[nodiscard]] Bytes remaining(FlowId id) const;
   [[nodiscard]] double rate(FlowId id) const;  ///< bytes/second right now
   [[nodiscard]] std::size_t active_flows() const { return active_count_; }
+
+  /// Deterministic work counter: flows the allocator re-rated by solving,
+  /// summed over recomputes. The incremental solvers pin flows that cross a
+  /// down resource at 0 without counting them; the dense oracle counts every
+  /// live flow.
+  [[nodiscard]] std::uint64_t solved_flows() const { return solved_flows_; }
 
   /// Bytes moved through `resource` since construction (for throttling
   /// telemetry: dedicated DataNodes report consumed bandwidth upstream).
@@ -179,6 +188,8 @@ class FlowNetwork {
     bool in_heap = false;           // has a live completion-heap entry
     bool fill_mark = false;         // scratch: frozen/stalled during a recompute
     bool share_counted = false;     // bottleneck-share: contributes to share_load
+    // Path entries on zero-capacity resources; the flow is stalled iff > 0.
+    std::uint32_t down_links = 0;
   };
 
   /// Back-reference stored in a resource's flow index: `slot` is the flow,
@@ -190,7 +201,6 @@ class FlowNetwork {
 
   struct Resource {
     BytesPerSecond cap = 0.0;
-    std::string name;
     double transferred = 0.0;  // lifetime bytes through this resource
     std::vector<Link> flows;   // active flows crossing this resource
     std::uint32_t share_load = 0;  // bottleneck-share: live-flow count (maintained)
@@ -223,6 +233,8 @@ class FlowNetwork {
   static bool completion_later(const CompletionEntry& a, const CompletionEntry& b);
 
   [[nodiscard]] const Flow* find_flow(FlowId id) const;
+  /// Zero-capacity resources stall every flow crossing them.
+  [[nodiscard]] bool down(ResourceId r) const { return resources_[r].cap <= 0.0; }
 
   /// Accrues progress for all flows since `last_update_`, retires due
   /// flows, recomputes dirty rates, and re-arms the completion event.
@@ -275,6 +287,7 @@ class FlowNetwork {
   std::uint32_t live_head_ = kNoSlot;
   std::uint32_t live_tail_ = kNoSlot;
   std::size_t active_count_ = 0;
+  std::uint64_t solved_flows_ = 0;
   Time last_update_ = 0;
   EventId completion_event_ = EventId::invalid();
   Time scheduled_for_ = kTimeMax;

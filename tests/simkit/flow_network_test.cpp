@@ -323,6 +323,46 @@ TEST(FlowBottleneckShare, ApproximationIsConservative) {
   EXPECT_NEAR(net.rate(b), 50.0, 0.01);
 }
 
+// ---- work counter ----------------------------------------------------------
+
+TEST(FlowWorkCounter, LiveChurnNeverCountsFlowsStalledElsewhere) {
+  for (const FairnessModel model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    for (const SolverMode solver : {SolverMode::kIncremental, SolverMode::kDense}) {
+      const bool dense = solver == SolverMode::kDense;
+      SCOPED_TRACE(std::string(model == FairnessModel::kMaxMin ? "max-min" : "bshare") +
+                   (dense ? "/dense" : "/incremental"));
+      Simulation sim;
+      FlowNetwork net(sim, model, solver, CoalesceMode::kEager);
+      // `shared` carries one live flow and five flows that also cross the
+      // down resource `dead`; `dead` reaches a second live resource `other`
+      // through five more stalled flows, and `other` has a live flow too.
+      const auto shared = net.add_resource(100.0);
+      const auto dead = net.add_resource(0.0);
+      const auto other = net.add_resource(100.0);
+      const FlowId live = net.start_flow({shared}, 1'000'000, [](FlowId) {});
+      for (int i = 0; i < 5; ++i) {
+        net.start_flow({shared, dead}, 1'000'000, [](FlowId) {});
+        net.start_flow({other, dead}, 1'000'000, [](FlowId) {});
+      }
+      net.start_flow({other}, 1'000'000, [](FlowId) {});
+
+      // A second live flow joins `shared`: the incremental solvers re-solve
+      // the two live flows there; the dense oracle fills all 13.
+      std::uint64_t before = net.solved_flows();
+      const FlowId joined = net.start_flow({shared}, 1'000'000, [](FlowId) {});
+      EXPECT_EQ(net.solved_flows() - before, dense ? 13u : 2u);
+      EXPECT_NEAR(net.rate(live), 50.0, 0.01);
+      EXPECT_NEAR(net.rate(joined), 50.0, 0.01);
+
+      before = net.solved_flows();
+      net.set_capacity(shared, 60.0);
+      EXPECT_EQ(net.solved_flows() - before, dense ? 13u : 2u);
+      EXPECT_NEAR(net.rate(live), 30.0, 0.01);
+    }
+  }
+}
+
 TEST(FlowNetwork, InvalidResourceThrows) {
   Simulation sim;
   FlowNetwork net(sim);
