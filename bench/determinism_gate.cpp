@@ -8,8 +8,8 @@
 //   JOURNAL-DIVERGENCE    a master's journal replay differed from live state
 //   DNF                   the single job did not complete in the horizon
 //   VACUOUS               nothing was injected / no master crashed / no
-//                         arrival was rejected or shed (the row tested
-//                         nothing)
+//                         arrival was rejected or shed / no node hibernated
+//                         or no v' was raised (the row tested nothing)
 //   RETAINED-OVER-CEILING retained job state grew past 1 MiB (job GC failed)
 //   NO-GC                 no job was retired (GC mode not exercised)
 //
@@ -44,6 +44,7 @@ enum Check : unsigned {
   kPushesBack = 1u << 5,
   kBoundedMemory = 1u << 6,
   kCollects = 1u << 7,
+  kAdapts = 1u << 8,
 };
 
 /// Retained state may hold the live-job window plus any DNF jobs pinned at
@@ -90,6 +91,11 @@ constexpr CheckSpec kChecks[] = {
     {kBoundedMemory, "RETAINED-OVER-CEILING",
      [](const Outcome& o) { return o.peak_retained_bytes > kRetainedCeiling; }},
     {kCollects, "NO-GC", [](const Outcome& o) { return o.jobs_retired == 0; }},
+    {kAdapts, "VACUOUS",
+     [](const Outcome& o) {
+       return o.counters.dfs_stats.hibernate_transitions == 0 ||
+              o.counters.dfs_stats.adaptive_v_raises == 0;
+     }},
 };
 
 Outcome run(const ScenarioConfig& cfg) {
@@ -232,6 +238,34 @@ MultiJobConfig steady_failover() {
   return cfg;
 }
 
+/// A stream that drives the NameNode's sweeps: 0.3 unavailability on 10
+/// volatile nodes hibernates and kills some, the single dedicated node
+/// saturates so declined writes raise v', and the auditor checks the sweep
+/// indices (per-node kind split, adaptive-file index) every 10 s.
+MultiJobConfig adaptive_stream() {
+  MultiJobConfig cfg;
+  cfg.base.volatile_nodes = 10;
+  cfg.base.dedicated_nodes = 1;
+  cfg.base.sched = experiment::moon_scheduler(true);
+  cfg.base.dfs = experiment::moon_dfs_config();
+  cfg.base.input_factor = {1, 2};
+  cfg.base.output_factor = {1, 2};
+  cfg.base.unavailability_rate = 0.3;
+  cfg.base.max_sim_time = sim::kHour;
+  cfg.base.faults.enabled = true;
+  cfg.base.faults.audit_interval = 10 * sim::kSecond;
+  cfg.base.sched.admission.enabled = true;
+  cfg.base.sched.admission.max_queued_jobs = 4;
+  cfg.arrivals.num_jobs = 0;
+  cfg.arrivals.first_arrival = sim::kMinute;
+  cfg.arrivals.mean_interarrival = 20 * sim::kSecond;
+  cfg.arrivals.round_robin_mix = true;
+  cfg.arrivals.mix = {{stream_sort("adaptive-lo", 0), 1.0},
+                      {stream_sort("adaptive-hi", 2), 1.0}};
+  cfg.retain_job_results = false;
+  return cfg;
+}
+
 /// The benchmark's serving stream (30 + 3 nodes, 6 h Poisson stream at ~3x
 /// capacity, 8-live-job cap) with shedding instead of rejection. At seed
 /// 28000 it once threw "NameNode: unknown block" from a DFS write probe that
@@ -305,6 +339,8 @@ std::vector<Row> rows() {
       {"stream shed", 0, steady(Policy::kShedLowestPriority), stream_checks},
       {"stream failover", 0, steady_failover(),
        stream_checks | kJournalClean | kCrashes},
+      {"stream adaptive", 0, adaptive_stream(),
+       kAuditClean | kCollects | kAdapts},
   };
   std::vector<Row> out;
   for (const Row& scenario : scenarios) {

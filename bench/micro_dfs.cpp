@@ -1,10 +1,14 @@
 // Microbenchmarks for the DFS control plane: Algorithm 1 updates, write-
-// target selection, factor checks, and a full simulated job as an
-// end-to-end throughput number.
+// target selection, factor checks, the NameNode's liveness/estimate sweeps
+// over a grown namespace, and a full simulated job as an end-to-end
+// throughput number.
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "cluster/cluster.hpp"
 #include "dfs/dfs.hpp"
+#include "dfs/namenode.hpp"
 #include "dfs/throttle.hpp"
 #include "experiment/scenario.hpp"
 
@@ -78,6 +82,81 @@ void BM_StageLargeFile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StageLargeFile);
+
+/// The NameNode's periodic sweeps over a namespace grown the way a long job
+/// stream grows it: 20k single-block files (88% reliable, the rest
+/// opportunistic, a handful with a raised adaptive v'), about 5.7k blocks
+/// per live volatile node. Three volatile nodes stay silent so the
+/// unavailability estimate keeps v' above the configured v. One iteration
+/// is 30 simulated seconds: three liveness scans (the victim node hibernates,
+/// then dies, and its sweeps re-queue its blocks), one estimate scan
+/// (adaptive-v' refresh), and the victim's revival.
+void BM_NameNodeSweeps(benchmark::State& state) {
+  sim::Simulation sim{1};
+  cluster::Cluster cluster{sim};
+  cluster::NodeConfig vcfg;
+  const std::vector<NodeId> volatiles = cluster.add_nodes(10, vcfg);
+  cluster::NodeConfig dcfg;
+  dcfg.type = cluster::NodeType::kDedicated;
+  const std::vector<NodeId> dedicated = cluster.add_nodes(2, dcfg);
+  dfs::DfsConfig cfg;
+  cfg.throttle_window = 2;
+  cfg.availability_goal = 0.99;
+  cfg.liveness_scan_interval = 10 * sim::kSecond;
+  cfg.hibernate_interval = 15 * sim::kSecond;
+  cfg.expiry_interval = 25 * sim::kSecond;
+  cfg.estimate_interval = 30 * sim::kSecond;
+  dfs::NameNode nn(sim, cluster, cfg);
+  for (NodeId id : cluster.all_nodes()) nn.register_datanode(id);
+  nn.start();
+  const std::vector<NodeId> live(volatiles.begin(), volatiles.begin() + 7);
+  const NodeId victim = live.front();
+  // Heartbeats from every live node but `skip`, then one scan interval.
+  const auto beat_and_scan = [&](std::optional<NodeId> skip) {
+    for (NodeId n : live) {
+      if (n != skip) nn.heartbeat(n, 100.0);
+    }
+    for (NodeId d : dedicated) nn.heartbeat(d, 100.0);
+    sim.run_until(sim.now() + cfg.liveness_scan_interval);
+  };
+  for (int i = 0; i < 12; ++i) beat_and_scan(std::nullopt);  // p settles
+
+  // Saturate the dedicated tier so opportunistic writes are declined.
+  for (NodeId d : dedicated) nn.heartbeat(d, 104.0);
+  Rng rng{7};
+  for (int i = 0; i < 20000; ++i) {
+    const bool reliable = i % 25 >= 3;
+    const bool adaptive = i % 4000 == 0;
+    const FileId f = nn.create_file(
+        "f", reliable ? dfs::FileKind::kReliable : dfs::FileKind::kOpportunistic,
+        {1, 2});
+    const BlockId b = nn.add_block(f, mib(2.0));
+    if (adaptive) nn.pick_write_targets(f, live[1], rng);
+    const std::size_t v = static_cast<std::size_t>(i) % live.size();
+    nn.commit_replica(b, live[v]);
+    nn.commit_replica(b, live[(v + 1) % live.size()]);
+    nn.commit_replica(b, adaptive ? live[(v + 2) % live.size()]
+                                  : dedicated[static_cast<std::size_t>(i) % 2]);
+  }
+
+  const dfs::DfsStats before = nn.stats();
+  for (auto _ : state) {
+    beat_and_scan(victim);
+    beat_and_scan(victim);  // hibernation sweep
+    beat_and_scan(victim);  // death sweep + estimate scan
+    nn.heartbeat(victim, 100.0);
+  }
+  const auto per_iteration = [&](std::int64_t n) {
+    return benchmark::Counter(static_cast<double>(n),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["hibernations"] = per_iteration(
+      nn.stats().hibernate_transitions - before.hibernate_transitions);
+  state.counters["deaths"] =
+      per_iteration(nn.stats().dead_transitions - before.dead_transitions);
+  state.counters["v_prime"] = nn.adaptive_volatile_requirement();
+}
+BENCHMARK(BM_NameNodeSweeps)->Unit(benchmark::kMicrosecond);
 
 /// End-to-end: one simulated sleep(sort)-style job on 22 nodes. This is the
 /// unit of work every figure bench repeats dozens of times.

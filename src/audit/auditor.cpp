@@ -37,30 +37,27 @@ std::vector<Violation> Auditor::run() {
 }
 
 void Auditor::check_dfs(std::vector<Violation>& out) {
+  using dfs::FileKind;
   auto& nn = dfs_->namenode();
-  // Forward: every NameNode replica entry is mirrored in the reverse index
-  // and physically present on the DataNode. Walk blocks in BlockId order so
-  // the violation report sequence never follows the map's hash order
-  // (§2 determinism contract; detlint cannot see this cross-file getter).
-  std::vector<BlockId> block_ids;
-  block_ids.reserve(nn.all_blocks().size());
-  for (const auto& [id, meta] : nn.all_blocks()) block_ids.push_back(id);
-  std::sort(block_ids.begin(), block_ids.end());
-  for (BlockId id : block_ids) {
-    const auto& meta = nn.all_blocks().at(id);
-    std::unordered_set<NodeId> seen;
-    for (NodeId n : meta.replicas) {
-      if (!seen.insert(n).second) {
+  // Forward: every NameNode replica entry is mirrored in the half of the
+  // reverse index that matches its file's kind, and is physically present
+  // on the DataNode. Hash-order walks are fine: run() sorts the report.
+  for (const auto& [id, meta] : nn.all_blocks()) {
+    const FileKind kind = nn.file(meta.file).kind;
+    for (auto r = meta.replicas.begin(); r != meta.replicas.end(); ++r) {
+      const NodeId n = *r;
+      if (std::find(meta.replicas.begin(), r, n) != r) {
         out.push_back({"dfs.replica-consistency",
                        "block " + block_str(id) + " lists node " + node_str(n) +
                            " twice"});
         continue;
       }
       const auto* bucket = nn.blocks_on(n);
-      if (bucket == nullptr || !bucket->contains(id)) {
+      if (bucket == nullptr || !bucket->of(kind).contains(id)) {
         out.push_back({"dfs.replica-consistency",
                        "block " + block_str(id) + " replica on node " +
-                           node_str(n) + " missing from reverse index"});
+                           node_str(n) + " missing from the " +
+                           dfs::to_string(kind) + " reverse index"});
       }
       if (!dfs_->datanode(n).stores(id)) {
         out.push_back({"dfs.replica-consistency",
@@ -70,24 +67,50 @@ void Auditor::check_dfs(std::vector<Violation>& out) {
     }
   }
   // Reverse: every reverse-index entry points at a live block that lists
-  // the node. (DataNodes may hold stale blocks of deleted files; that
-  // direction is by design and not checked.)
+  // the node, and the two halves are disjoint — with the forward check, an
+  // entry filed under the wrong kind cannot hide. (DataNodes may hold stale
+  // blocks of deleted files; that direction is by design and not checked.)
   for (NodeId n : nn.datanodes()) {
     const auto* bucket = nn.blocks_on(n);
     if (bucket == nullptr) continue;
-    for (BlockId b : *bucket) {
-      if (!nn.block_exists(b)) {
-        out.push_back({"dfs.replica-consistency",
-                       "reverse index holds deleted block " + block_str(b) +
-                           " on node " + node_str(n)});
-        continue;
+    for (FileKind kind : {FileKind::kOpportunistic, FileKind::kReliable}) {
+      const bool check_disjoint = kind == FileKind::kOpportunistic;
+      for (BlockId b : bucket->of(kind)) {
+        if (check_disjoint && bucket->reliable.contains(b)) {
+          out.push_back({"dfs.replica-consistency",
+                         "block " + block_str(b) +
+                             " in both reverse-index halves of node " +
+                             node_str(n)});
+        }
+        if (!nn.block_exists(b)) {
+          out.push_back({"dfs.replica-consistency",
+                         "reverse index holds deleted block " + block_str(b) +
+                             " on node " + node_str(n)});
+          continue;
+        }
+        if (!nn.block(b).has_replica_on(n)) {
+          out.push_back({"dfs.replica-consistency",
+                         "reverse index lists block " + block_str(b) +
+                             " on node " + node_str(n) +
+                             " absent from the block's replica list"});
+        }
       }
-      if (!nn.block(b).has_replica_on(n)) {
-        out.push_back({"dfs.replica-consistency",
-                       "reverse index lists block " + block_str(b) +
-                           " on node " + node_str(n) +
-                           " absent from the block's replica list"});
-      }
+    }
+  }
+  // Adaptive index: exactly the files whose volatile requirement is raised.
+  for (const auto& [id, meta] : nn.all_files()) {
+    if ((meta.adaptive_volatile != 0) != nn.adaptive_files().contains(id)) {
+      out.push_back({"dfs.adaptive-index",
+                     "file " + std::to_string(id.value()) + " adaptive v " +
+                         std::to_string(meta.adaptive_volatile) +
+                         " disagrees with the adaptive index"});
+    }
+  }
+  for (FileId id : nn.adaptive_files()) {
+    if (!nn.file_exists(id)) {
+      out.push_back({"dfs.adaptive-index",
+                     "adaptive index holds deleted file " +
+                         std::to_string(id.value())});
     }
   }
 }

@@ -46,7 +46,7 @@ void NameNode::crash() {
     meta.replicas.clear();
   }
   // detlint: allow(unordered-iter) -- clears every bucket unconditionally; no per-element effect escapes the loop
-  for (auto& [node, bucket] : node_blocks_) bucket.clear();
+  for (auto& [node, bucket] : node_blocks_) bucket = {};
   live_dedicated_.clear();
   live_volatile_.clear();
   // The liveness view is forgotten wholesale. No state listeners fire: the
@@ -208,6 +208,7 @@ bool NameNode::all_dedicated_saturated() const {
 
 void NameNode::liveness_scan() {
   if (!up_) return;  // a crashed master scans nothing
+  sim::Profiler::Scope profile(sim_.profiler(), sim::Profiler::Key::kNameNodeSweep);
   const sim::Time now = sim_.now();
   // datanodes_ is NodeId-ordered: expiring nodes die in id order, so the
   // replication-queue enqueue sequence their deaths trigger is reproducible
@@ -226,6 +227,7 @@ void NameNode::liveness_scan() {
 
 void NameNode::estimate_scan() {
   if (!up_) return;
+  sim::Profiler::Scope profile(sim_.profiler(), sim::Profiler::Key::kNameNodeSweep);
   const std::size_t volatile_total = volatile_registered_;
   const std::size_t volatile_down = volatile_total - live_volatile_.size();
   if (volatile_total == 0) return;
@@ -260,12 +262,17 @@ void NameNode::on_node_dead(NodeId node) {
   // Every block on the node loses a replica for accounting purposes; the
   // replica list keeps the entry (the node may return with data intact), but
   // factor checks ignore dead holders, so under-replicated blocks re-queue.
-  // node_blocks_ buckets are BlockId-ordered sets, so the walk enqueues in
+  // Merge-walking the two BlockId-ordered halves of the bucket enqueues in
   // id order (§2 determinism contract) without snapshotting; the enqueue
   // only touches the queue structures, never the bucket being walked.
   auto it = node_blocks_.find(node);
   if (it == node_blocks_.end()) return;
-  for (BlockId b : it->second) {
+  const std::set<BlockId>& opp = it->second.opportunistic;
+  const std::set<BlockId>& rel = it->second.reliable;
+  auto o = opp.begin();
+  auto r = rel.begin();
+  while (o != opp.end() || r != rel.end()) {
+    const BlockId b = (r == rel.end() || (o != opp.end() && *o < *r)) ? *o++ : *r++;
     if (!block_meets_factor(b)) enqueue_replication(b);
   }
 }
@@ -275,10 +282,7 @@ void NameNode::on_node_hibernated(NodeId node) {
   // re-replicated" when a node hibernates.
   auto it = node_blocks_.find(node);
   if (it == node_blocks_.end()) return;
-  for (BlockId b : it->second) {
-    const auto& meta = blocks_.at(b);
-    const auto& fm = files_.at(meta.file);
-    if (fm.kind != FileKind::kOpportunistic) continue;
+  for (BlockId b : it->second.opportunistic) {
     if (live_replicas(b).dedicated > 0) continue;
     if (!block_meets_factor(b)) enqueue_replication(b);
   }
@@ -326,10 +330,18 @@ void NameNode::convert_to_reliable(FileId id) {
   const bool was_opportunistic = meta.kind == FileKind::kOpportunistic;
   meta.kind = FileKind::kReliable;
   meta.adaptive_volatile = 0;
-  // Promote already-queued blocks into the reliable-priority view under
-  // their original sequence numbers (the queue serves reliable files first).
+  adaptive_files_.erase(id);
   if (was_opportunistic) {
     for (BlockId b : meta.blocks) {
+      // Move the block to the reliable half of every holder's bucket; the
+      // node handle is re-linked, not reallocated.
+      for (NodeId n : blocks_.at(b).replicas) {
+        NodeBlocks& bucket = node_blocks_.at(n);
+        bucket.reliable.insert(bucket.opportunistic.extract(b));
+      }
+      // Promote already-queued blocks into the reliable-priority view under
+      // their original sequence numbers (the queue serves reliable files
+      // first).
       auto it = queued_.find(b);
       if (it != queued_.end()) reliable_queue_.emplace(it->second, b);
     }
@@ -366,18 +378,20 @@ void NameNode::remove_file(FileId id) {
   auto it = files_.find(id);
   if (it == files_.end()) return;
   if (journal_ != nullptr) journal_->record_remove_file(id);
+  const FileKind kind = it->second.kind;
   for (BlockId b : it->second.blocks) {
     auto bit = blocks_.find(b);
     if (bit != blocks_.end()) {
       for (NodeId n : bit->second.replicas) {
         auto nb = node_blocks_.find(n);
-        if (nb != node_blocks_.end()) nb->second.erase(b);
+        if (nb != node_blocks_.end()) nb->second.of(kind).erase(b);
         notify_replica(b, n, /*added=*/false);
       }
       blocks_.erase(bit);
     }
     queued_.erase(b);  // queue/heap entries go stale and skip at pop
   }
+  adaptive_files_.erase(id);
   files_.erase(it);
 }
 
@@ -454,7 +468,9 @@ NameNode::WriteTargets NameNode::pick_write_targets(FileId file_id, NodeId write
       want_volatile = v_prime;
       ++stats_.adaptive_v_raises;
     }
+    // v' >= 1, so the file always enters the adaptive index here.
     file_mutable(file_id).adaptive_volatile = want_volatile;
+    adaptive_files_.insert(file_id);
   }
   out.effective_volatile = want_volatile;
 
@@ -485,7 +501,7 @@ void NameNode::commit_replica(BlockId block_id, NodeId node) {
   auto& meta = blocks_.at(block_id);
   if (!meta.has_replica_on(node)) {
     meta.replicas.push_back(node);
-    node_blocks_[node].insert(block_id);
+    node_blocks_[node].of(files_.at(meta.file).kind).insert(block_id);
     notify_replica(block_id, node, /*added=*/true);
   }
 }
@@ -497,7 +513,9 @@ void NameNode::drop_replica(BlockId block_id, NodeId node) {
   const auto held = reps.size();
   reps.erase(std::remove(reps.begin(), reps.end(), node), reps.end());
   auto nb = node_blocks_.find(node);
-  if (nb != node_blocks_.end()) nb->second.erase(block_id);
+  if (nb != node_blocks_.end()) {
+    nb->second.of(files_.at(it->second.file).kind).erase(block_id);
+  }
   if (reps.size() != held) notify_replica(block_id, node, /*added=*/false);
 }
 
@@ -721,20 +739,14 @@ int NameNode::adaptive_volatile_requirement() const {
 
 void NameNode::refresh_adaptive_requirements() {
   const int v_prime = adaptive_volatile_requirement();
-  // Walk files in id order: the scan enqueues replication work, and the
-  // queue position decides repair order, so hash order must not leak into
-  // it (§2 determinism contract). Sorting a key snapshot also tolerates the
-  // (currently impossible) case of a callback mutating files_ mid-scan.
-  std::vector<FileId> ids;
-  ids.reserve(files_.size());
-  for (const auto& [id, meta] : files_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before adaptive requirements change
-  std::sort(ids.begin(), ids.end());
-  for (FileId id : ids) {
-    auto fit = files_.find(id);
-    if (fit == files_.end()) continue;
-    FileMeta& meta = fit->second;
-    if (meta.kind != FileKind::kOpportunistic) continue;
-    if (meta.adaptive_volatile == 0) continue;  // never declined; leave alone
+  // Only files with a raised requirement can change: walk the adaptive index
+  // in FileId order. The scan enqueues replication work, and the queue
+  // position decides repair order, so hash order must not leak into it (§2
+  // determinism contract). Every indexed file is opportunistic:
+  // convert_to_reliable drops it from the index.
+  for (auto fit = adaptive_files_.begin(); fit != adaptive_files_.end();) {
+    FileMeta& meta = files_.at(*fit);
+    assert(meta.kind == FileKind::kOpportunistic && meta.adaptive_volatile != 0);
     if (meta.factor.dedicated > 0) {
       // Still waiting on a dedicated copy? If one arrived, the raised
       // requirement lapses.
@@ -747,6 +759,7 @@ void NameNode::refresh_adaptive_requirements() {
       }
       if (has_dedicated && !meta.blocks.empty()) {
         meta.adaptive_volatile = 0;
+        fit = adaptive_files_.erase(fit);
         continue;
       }
     }
@@ -756,8 +769,10 @@ void NameNode::refresh_adaptive_requirements() {
       for (BlockId b : meta.blocks) {
         if (!block_meets_factor(b)) enqueue_replication(b);
       }
+      ++fit;
     } else {
       meta.adaptive_volatile = 0;
+      fit = adaptive_files_.erase(fit);
     }
   }
 }

@@ -100,7 +100,6 @@ class NameNode {
 
   FileId create_file(std::string name, FileKind kind, ReplicationFactor factor);
   [[nodiscard]] const FileMeta& file(FileId id) const;
-  [[nodiscard]] FileMeta& file_mutable(FileId id);
   [[nodiscard]] bool file_exists(FileId id) const;
 
   /// Output commit: "once all [Reduce tasks] are completed they are then
@@ -180,7 +179,7 @@ class NameNode {
 
   /// Recomputes v' for opportunistic files still lacking a dedicated copy
   /// ("If p changes before a dedicated replica can be stored, v' will be
-  /// recalculated accordingly").
+  /// recalculated accordingly"). Walks only the adaptive-file index.
   void refresh_adaptive_requirements();
 
   // ---- events / stats ---------------------------------------------------
@@ -205,17 +204,40 @@ class NameNode {
 
   // ---- auditor views (read-only) ----------------------------------------
 
-  /// Blocks whose replica list includes `node`; nullptr when none recorded.
-  [[nodiscard]] const std::set<BlockId>* blocks_on(NodeId node) const {
+  /// Reverse index of one node: the blocks whose replica list includes it,
+  /// split by the owning file's current kind into two disjoint,
+  /// BlockId-ordered sets. The hibernation sweep walks only `opportunistic`
+  /// (§IV-C never re-replicates reliable blocks on hibernation); the death
+  /// sweep merge-walks both in BlockId order.
+  struct NodeBlocks {
+    std::set<BlockId> opportunistic;
+    std::set<BlockId> reliable;
+    [[nodiscard]] std::set<BlockId>& of(FileKind kind) {
+      return kind == FileKind::kReliable ? reliable : opportunistic;
+    }
+    [[nodiscard]] const std::set<BlockId>& of(FileKind kind) const {
+      return kind == FileKind::kReliable ? reliable : opportunistic;
+    }
+  };
+  /// `node`'s reverse index; nullptr when none recorded.
+  [[nodiscard]] const NodeBlocks* blocks_on(NodeId node) const {
     auto it = node_blocks_.find(node);
     return it == node_blocks_.end() ? nullptr : &it->second;
   }
-  /// Every live block's metadata (moon::audit walks this for conservation
-  /// checks; iteration order is hash order — callers must sort before any
-  /// state-changing use).
+  /// Files whose `adaptive_volatile` is non-zero, in FileId order: exactly
+  /// the files the estimate scan re-evaluates.
+  [[nodiscard]] const std::set<FileId>& adaptive_files() const {
+    return adaptive_files_;
+  }
+  /// Every live block's / file's metadata (moon::audit walks these for
+  /// conservation checks; iteration order is hash order — callers must sort
+  /// before any state-changing use).
   [[nodiscard]] const std::unordered_map<BlockId, BlockMeta>& all_blocks()
       const {
     return blocks_;
+  }
+  [[nodiscard]] const std::unordered_map<FileId, FileMeta>& all_files() const {
+    return files_;
   }
 
  private:
@@ -225,6 +247,11 @@ class NameNode {
     ThrottleState throttle;
     bool dedicated = false;
   };
+
+  /// Mutable access stays private: `kind` and `adaptive_volatile` key the
+  /// reverse-index split and the adaptive-file index, so every change to
+  /// them must go through a NameNode method that keeps those in step.
+  [[nodiscard]] FileMeta& file_mutable(FileId id);
 
   void liveness_scan();
   void estimate_scan();
@@ -236,12 +263,15 @@ class NameNode {
   void update_live_partition(NodeId node);
   void notify_replica(BlockId block, NodeId node, bool added);
 
-  /// Blocks stored per node (reverse index for death handling). Ordered
-  /// sets: the death/hibernation sweeps enqueue replication while walking a
-  /// bucket, and the queue position decides repair order (§2 determinism
-  /// contract) — BlockId order straight off the container replaces the old
-  /// copy-and-sort snapshot that ran on every death/hibernate event.
-  std::unordered_map<NodeId, std::set<BlockId>> node_blocks_;
+  /// Blocks stored per node (reverse index for death/hibernation handling).
+  /// Ordered sets: the sweeps enqueue replication while walking a bucket,
+  /// and the queue position decides repair order (§2 determinism contract).
+  std::unordered_map<NodeId, NodeBlocks> node_blocks_;
+  /// Files with `adaptive_volatile != 0`. A file enters on a declined
+  /// dedicated write and leaves wherever the raise lapses (refresh,
+  /// convert_to_reliable, remove_file); ordered so the estimate scan
+  /// enqueues in FileId order.
+  std::set<FileId> adaptive_files_;
 
   sim::Simulation& sim_;
   cluster::Cluster& cluster_;

@@ -12,6 +12,7 @@ const char* Profiler::name(Key key) {
     case Key::kSpeculation: return "speculation";
     case Key::kEventDispatch: return "event_dispatch";
     case Key::kCheckpoint: return "checkpoint";
+    case Key::kNameNodeSweep: return "namenode_sweep";
     case Key::kCount: break;
   }
   return "?";

@@ -33,6 +33,8 @@ class Profiler {
     kEventDispatch,    ///< Simulation::step callback dispatch (outermost:
                        ///< every other key is a sub-span of this one)
     kCheckpoint,       ///< CheckpointStore emit + attempt restore
+    kNameNodeSweep,    ///< NameNode liveness + estimate scans (death and
+                       ///< hibernation sweeps, adaptive-v' refresh)
     kCount,
   };
   static constexpr std::size_t kKeyCount = static_cast<std::size_t>(Key::kCount);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "cluster/cluster.hpp"
 #include "dfs/dfs.hpp"
@@ -421,6 +423,306 @@ TEST_F(NameNodeTest, RemoveFileClearsBlocks) {
   nn().remove_file(f);
   EXPECT_FALSE(nn().block_exists(b));
   EXPECT_FALSE(nn().file_exists(f));
+}
+
+// ---- sweep indices: per-node kind split and the adaptive-file index -------
+
+/// The reverse index as the NameNode's public views imply it: every replica
+/// entry of every block, filed under its file's current kind.
+struct ExpectedBuckets {
+  std::map<NodeId, std::set<BlockId>> opportunistic;
+  std::map<NodeId, std::set<BlockId>> reliable;
+};
+
+ExpectedBuckets brute_force_buckets(const NameNode& nn) {
+  ExpectedBuckets out;
+  for (const auto& [id, meta] : nn.all_blocks()) {
+    auto& half = nn.file(meta.file).kind == FileKind::kReliable
+                     ? out.reliable
+                     : out.opportunistic;
+    for (NodeId n : meta.replicas) half[n].insert(id);
+  }
+  return out;
+}
+
+std::set<BlockId> at_or_empty(const std::map<NodeId, std::set<BlockId>>& m,
+                              NodeId n) {
+  auto it = m.find(n);
+  return it == m.end() ? std::set<BlockId>{} : it->second;
+}
+
+void expect_buckets_match(const NameNode& nn) {
+  const ExpectedBuckets want = brute_force_buckets(nn);
+  for (NodeId n : nn.datanodes()) {
+    const auto* bucket = nn.blocks_on(n);
+    const std::set<BlockId> opp =
+        bucket == nullptr ? std::set<BlockId>{} : bucket->opportunistic;
+    const std::set<BlockId> rel =
+        bucket == nullptr ? std::set<BlockId>{} : bucket->reliable;
+    EXPECT_EQ(opp, at_or_empty(want.opportunistic, n)) << "node " << n;
+    EXPECT_EQ(rel, at_or_empty(want.reliable, n)) << "node " << n;
+  }
+}
+
+TEST_F(NameNodeTest, HibernationSkipsBlocksConvertedToReliable) {
+  DfsConfig cfg;
+  cfg.adaptive_replication = false;  // reliable keeps d = 0: no repair at convert
+  build(cfg);
+  const NodeId v0 = volatile_ids_[0];
+  const FileId converted = nn().create_file("out", FileKind::kOpportunistic, {0, 2});
+  const BlockId c = nn().add_block(converted, 100);
+  const FileId kept = nn().create_file("tmp", FileKind::kOpportunistic, {0, 2});
+  const BlockId k = nn().add_block(kept, 100);
+  for (BlockId b : {c, k}) {
+    nn().commit_replica(b, v0);
+    nn().commit_replica(b, volatile_ids_[1]);
+  }
+  nn().convert_to_reliable(converted);
+  ASSERT_EQ(nn().replication_queue_depth(), 0u);
+  EXPECT_EQ(nn().blocks_on(v0)->reliable, std::set<BlockId>{c});
+  EXPECT_EQ(nn().blocks_on(v0)->opportunistic, std::set<BlockId>{k});
+
+  // Both blocks fall under factor when v0 hibernates; only the block that is
+  // still opportunistic is re-replicated (§IV-C).
+  const auto before = nn().stats().re_replications;
+  cluster_->node(v0).set_available(false);
+  advance(2 * sim::kMinute);
+  ASSERT_EQ(nn().state_of(v0), DataNodeState::kHibernated);
+  EXPECT_FALSE(nn().block_meets_factor(c));
+  EXPECT_EQ(nn().stats().re_replications, before + 1);
+  const auto req = nn().next_replication_request();
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->block, k);
+  EXPECT_FALSE(nn().next_replication_request().has_value());
+}
+
+TEST_F(NameNodeTest, DeathEnqueuesInBlockIdOrderAcrossKinds) {
+  DfsConfig cfg;
+  cfg.hibernate_enabled = false;  // the death sweep alone queues the blocks
+  build(cfg);
+  const NodeId v0 = volatile_ids_[0];
+  const FileId opp = nn().create_file("opp", FileKind::kOpportunistic, {0, 1});
+  const FileId rel = nn().create_file("rel", FileKind::kReliable, {0, 1});
+  // Interleaved ids: opp, rel, opp, rel on the same node.
+  std::vector<BlockId> ids;
+  for (int i = 0; i < 2; ++i) {
+    for (FileId f : {opp, rel}) {
+      ids.push_back(nn().add_block(f, 100));
+      nn().commit_replica(ids.back(), v0);
+    }
+  }
+  ASSERT_EQ(nn().blocks_on(v0)->opportunistic.size(), 2u);
+  ASSERT_EQ(nn().blocks_on(v0)->reliable.size(), 2u);
+  cluster_->node(v0).set_available(false);
+  advance(11 * sim::kMinute);
+  ASSERT_EQ(nn().state_of(v0), DataNodeState::kDead);
+  ASSERT_EQ(nn().replication_queue_depth(), 4u);
+  // Promoting the opportunistic file serves every block in enqueue order.
+  nn().convert_to_reliable(opp);
+  std::vector<BlockId> served;
+  while (auto req = nn().next_replication_request()) served.push_back(req->block);
+  EXPECT_EQ(served, ids);
+}
+
+TEST_F(NameNodeTest, AdaptiveIndexTracksRaisedFiles) {
+  DfsConfig cfg;
+  cfg.throttle_window = 2;
+  cfg.availability_goal = 0.9;
+  build(cfg);
+  for (int i = 0; i < 3; ++i) {
+    cluster_->node(volatile_ids_[static_cast<std::size_t>(i)]).set_available(false);
+  }
+  advance(3 * sim::kMinute);  // p > 0, so v' exceeds the configured v = 1
+  for (NodeId d : dedicated_ids_) {
+    nn().heartbeat(d, 100.0);
+    nn().heartbeat(d, 104.0);
+  }
+  const FileId f = nn().create_file("inter", FileKind::kOpportunistic, {1, 1});
+  const BlockId b = nn().add_block(f, 100);
+  const FileId never = nn().create_file("plain", FileKind::kOpportunistic, {0, 1});
+  nn().add_block(never, 100);
+  EXPECT_TRUE(nn().adaptive_files().empty());
+
+  Rng rng{11};
+  ASSERT_TRUE(nn().pick_write_targets(f, volatile_ids_[4], rng).dedicated_declined);
+  nn().pick_write_targets(never, volatile_ids_[4], rng);  // d = 0: never declined
+  EXPECT_EQ(nn().adaptive_files(), std::set<FileId>{f});
+  nn().commit_replica(b, volatile_ids_[4]);
+
+  // Still no dedicated copy: the raise stands.
+  nn().refresh_adaptive_requirements();
+  EXPECT_GT(nn().file(f).adaptive_volatile, 1);
+  EXPECT_EQ(nn().adaptive_files(), std::set<FileId>{f});
+
+  // A dedicated copy lands: the raise lapses and the file leaves the index.
+  nn().commit_replica(b, dedicated_ids_[0]);
+  nn().refresh_adaptive_requirements();
+  EXPECT_EQ(nn().file(f).adaptive_volatile, 0);
+  EXPECT_TRUE(nn().adaptive_files().empty());
+
+  // Conversion and removal drop a raised file too.
+  ASSERT_TRUE(nn().pick_write_targets(f, volatile_ids_[4], rng).dedicated_declined);
+  EXPECT_EQ(nn().adaptive_files(), std::set<FileId>{f});
+  nn().convert_to_reliable(f);
+  EXPECT_TRUE(nn().adaptive_files().empty());
+  const FileId g = nn().create_file("g", FileKind::kOpportunistic, {1, 1});
+  ASSERT_TRUE(nn().pick_write_targets(g, volatile_ids_[4], rng).dedicated_declined);
+  EXPECT_EQ(nn().adaptive_files(), std::set<FileId>{g});
+  nn().remove_file(g);
+  EXPECT_TRUE(nn().adaptive_files().empty());
+}
+
+TEST_F(NameNodeTest, CrashThenBlockReportsRebuildBothHalves) {
+  build();
+  const FileId opp = nn().create_file("opp", FileKind::kOpportunistic, {0, 2});
+  const FileId rel = nn().create_file("rel", FileKind::kReliable, {1, 1});
+  std::map<NodeId, std::vector<BlockId>> stored;
+  for (int i = 0; i < 6; ++i) {
+    const BlockId b = nn().add_block(i % 2 == 0 ? opp : rel, 100);
+    for (NodeId n : {volatile_ids_[static_cast<std::size_t>(i % 3)],
+                     i % 2 == 0 ? volatile_ids_[5] : dedicated_ids_[0]}) {
+      nn().commit_replica(b, n);
+      stored[n].push_back(b);
+    }
+  }
+  const ExpectedBuckets before = brute_force_buckets(nn());
+  expect_buckets_match(nn());
+
+  nn().crash();
+  for (NodeId n : nn().datanodes()) {
+    EXPECT_TRUE(nn().blocks_on(n)->opportunistic.empty());
+    EXPECT_TRUE(nn().blocks_on(n)->reliable.empty());
+  }
+  nn().begin_recovery();
+  for (auto& [node, blocks] : stored) {
+    std::sort(blocks.begin(), blocks.end());
+    nn().handle_block_report(node, blocks, 100.0);
+  }
+  nn().finish_recovery();
+  expect_buckets_match(nn());
+  for (NodeId n : nn().datanodes()) {
+    EXPECT_EQ(nn().blocks_on(n)->opportunistic, at_or_empty(before.opportunistic, n));
+    EXPECT_EQ(nn().blocks_on(n)->reliable, at_or_empty(before.reliable, n));
+  }
+}
+
+TEST_F(NameNodeTest, RandomOperationsKeepIndicesExact) {
+  DfsConfig cfg;
+  cfg.throttle_window = 2;
+  build(cfg);
+  // After every hibernation or death, each block the brute force says the
+  // sweep must queue is queued already: re-enqueueing it is a no-op.
+  int sweeps_checked = 0;
+  nn().subscribe_state_changes([&](NodeId node, DataNodeState, DataNodeState to) {
+    if (to == DataNodeState::kLive) return;
+    ++sweeps_checked;
+    const std::size_t depth = nn().replication_queue_depth();
+    for (const auto& [id, meta] : nn().all_blocks()) {
+      if (!meta.has_replica_on(node) || nn().block_meets_factor(id)) continue;
+      if (to == DataNodeState::kHibernated &&
+          (nn().file(meta.file).kind != FileKind::kOpportunistic ||
+           nn().live_replicas(id).dedicated > 0)) {
+        continue;
+      }
+      nn().enqueue_replication(id);
+      EXPECT_EQ(nn().replication_queue_depth(), depth) << "block " << id;
+    }
+  });
+
+  Rng rng{2024};
+  std::vector<FileId> files;
+  std::vector<BlockId> blocks;
+  const auto pick = [&](const auto& v) {
+    return v[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+  };
+  const std::vector<NodeId> nodes = cluster_->all_nodes();
+  for (int step = 0; step < 600; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    switch (rng.uniform_int(0, 9)) {
+      case 0: {
+        const bool reliable = rng.uniform() < 0.3;
+        files.push_back(nn().create_file(
+            "f", reliable ? FileKind::kReliable : FileKind::kOpportunistic,
+            {static_cast<int>(rng.uniform_int(0, 1)),
+             static_cast<int>(rng.uniform_int(1, 3))}));
+        break;
+      }
+      case 1:
+        if (!files.empty()) {
+          const FileId f = pick(files);
+          if (nn().file_exists(f)) blocks.push_back(nn().add_block(f, 100));
+        }
+        break;
+      case 2:
+      case 3:
+        if (!blocks.empty()) {
+          const BlockId b = pick(blocks);
+          if (nn().block_exists(b)) nn().commit_replica(b, pick(nodes));
+        }
+        break;
+      case 4:
+        if (!blocks.empty()) nn().drop_replica(pick(blocks), pick(nodes));
+        break;
+      case 5:
+        if (!files.empty()) {
+          const FileId f = pick(files);
+          if (nn().file_exists(f)) {
+            if (rng.uniform() < 0.5) {
+              nn().convert_to_reliable(f);
+            } else if (rng.uniform() < 0.3) {
+              nn().remove_file(f);
+            } else {
+              nn().pick_write_targets(f, pick(volatile_ids_), rng);
+            }
+          }
+        }
+        break;
+      case 6: {
+        // Saturate or relieve the dedicated tier (Algorithm 1).
+        const double bw = rng.uniform() < 0.5 ? 104.0 : 10.0;
+        for (NodeId d : dedicated_ids_) nn().heartbeat(d, bw);
+        break;
+      }
+      case 7: {
+        const NodeId v = pick(volatile_ids_);
+        cluster_->node(v).set_available(!cluster_->node(v).available());
+        break;
+      }
+      case 8:
+        advance(sim::seconds(rng.uniform(10.0, 400.0)));
+        break;
+      case 9:
+        if (rng.uniform() < 0.1) {
+          std::map<NodeId, std::vector<BlockId>> reports;
+          for (const auto& [id, meta] : nn().all_blocks()) {
+            for (NodeId n : meta.replicas) reports[n].push_back(id);
+          }
+          nn().crash();
+          nn().begin_recovery();
+          for (auto& [node, report] : reports) {
+            if (!cluster_->node(node).available()) continue;
+            std::sort(report.begin(), report.end());
+            nn().handle_block_report(node, report, 100.0);
+          }
+          nn().finish_recovery();
+        } else {
+          nn().refresh_adaptive_requirements();
+        }
+        break;
+    }
+    expect_buckets_match(nn());
+    std::set<FileId> raised;
+    for (FileId f : files) {
+      if (nn().file_exists(f) && nn().file(f).adaptive_volatile != 0) raised.insert(f);
+    }
+    EXPECT_EQ(nn().adaptive_files(), raised);
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(sweeps_checked, 0);
+  EXPECT_GT(nn().stats().adaptive_v_raises, 0);
+  EXPECT_GT(nn().stats().hibernate_transitions, 0);
+  EXPECT_GT(nn().stats().dead_transitions, 0);
 }
 
 }  // namespace
