@@ -1,22 +1,22 @@
-// Shared helpers for the per-figure/table bench harnesses.
-//
-// Each bench binary regenerates one table or figure from the paper: same
-// rows/series, our measured values. Absolute numbers differ from System X;
-// the *shapes* (orderings, crossovers, rough factors) are the reproduction
-// target — see EXPERIMENTS.md.
+// Shared helpers for the bench harnesses: JSON emission, repetition count,
+// table cells and the paper's testbed. bench_paper regenerates the paper's
+// tables and figures; absolute numbers differ from System X, the *shapes*
+// (orderings, crossovers, rough factors) are the reproduction target — see
+// DESIGN.md §6.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/table.hpp"
-#include "experiment/flags.hpp"
 #include "experiment/scenario.hpp"
 
 namespace moon::bench {
@@ -92,55 +92,22 @@ class JsonEmitter {
   std::vector<std::vector<std::pair<std::string, Value>>> rows_;
 };
 
-/// experiment::ScenarioFlags for the fig benches. A bench sweeps many
-/// configurations; exporting every run would overwrite itself, so the
-/// convention is: collection is enabled on every swept config and the
-/// *last* finished run's bundle wins — rerun with a narrower sweep (e.g.
-/// MOON_BENCH_REPS=1) to trace a specific cell. `--faults=` layers the same
-/// chaos spec on every swept config. All no-ops when no flag was given.
-class ObsBench {
- public:
-  ObsBench(int& argc, char** argv)
-      : flags_(experiment::parse_scenario_flags(argc, argv)) {}
-
-  [[nodiscard]] bool any() const { return flags_.any_obs(); }
-
-  /// Switches collection / fault injection on for `cfg` when flags were
-  /// given.
-  void apply(experiment::ScenarioConfig& cfg) const {
-    flags_.apply(cfg);
-    flags_.apply_obs(cfg.obs);
-  }
-
-  /// run_repetitions observer: remembers the latest run's bundle.
-  [[nodiscard]] std::function<void(const experiment::RunResult&)> observer() {
-    if (!flags_.any_obs()) return {};
-    return [this](const experiment::RunResult& run) {
-      if (run.obs) bundle_ = run.obs;
-    };
-  }
-
-  /// Writes the captured bundle's exports (call once, at bench exit).
-  void export_all() const { flags_.export_run(bundle_.get()); }
-
- private:
-  experiment::ScenarioFlags flags_;
-  std::shared_ptr<obs::Observability> bundle_;
-};
-
-/// Repetitions per configuration; override with MOON_BENCH_REPS.
+/// Repetitions per configuration: MOON_BENCH_REPS, default 3. A value that
+/// is not a positive integer is reported to stderr and exits 2, like a
+/// malformed flag.
 inline int repetitions() {
-  if (const char* env = std::getenv("MOON_BENCH_REPS")) {
-    const int reps = std::atoi(env);
-    if (reps > 0) return reps;
+  const char* env = std::getenv("MOON_BENCH_REPS");
+  if (env == nullptr) return 3;
+  const std::string_view text(env);
+  int reps = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), reps);
+  if (ec != std::errc{} || end != text.data() + text.size() || reps <= 0) {
+    std::cerr << "error: MOON_BENCH_REPS=" << text
+              << " is not a positive integer\n";
+    std::exit(2);
   }
-  return 3;
-}
-
-/// The unavailability rates every figure sweeps.
-inline const std::vector<double>& rates() {
-  static const std::vector<double> kRates{0.1, 0.3, 0.5};
-  return kRates;
+  return reps;
 }
 
 /// Formats "mean" or "DNF" when not all repetitions completed.
@@ -165,22 +132,6 @@ inline experiment::ScenarioConfig paper_testbed() {
   cfg.output_factor = {1, 3};
   cfg.seed = 20100621;  // HPDC 2010 :-)
   return cfg;
-}
-
-struct PolicyVariant {
-  std::string name;
-  mapred::SchedulerConfig sched;
-};
-
-/// The five §VI-A scheduling policy variants.
-inline std::vector<PolicyVariant> scheduling_policies() {
-  return {
-      {"Hadoop10Min", experiment::hadoop_scheduler(10 * sim::kMinute)},
-      {"Hadoop5Min", experiment::hadoop_scheduler(5 * sim::kMinute)},
-      {"Hadoop1Min", experiment::hadoop_scheduler(1 * sim::kMinute)},
-      {"MOON", experiment::moon_scheduler(false)},
-      {"MOON-Hybrid", experiment::moon_scheduler(true)},
-  };
 }
 
 }  // namespace moon::bench

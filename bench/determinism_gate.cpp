@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "experiment/fault_cli.hpp"
 #include "experiment/multi_job.hpp"
 
 using namespace moon;

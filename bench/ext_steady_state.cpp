@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "experiment/flags.hpp"
 #include "experiment/multi_job.hpp"
 #include "mapred/job_policy.hpp"
 

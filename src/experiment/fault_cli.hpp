@@ -10,7 +10,7 @@
 //   master_crash[:S] NameNode + JobTracker crash/recovery; S = mean downtime
 //
 // e.g. `quickstart --faults=all,audit:30` or
-//      `bench_fig7 --faults=heartbeats:0.1,storage`.
+//      `bench_paper fig7 --faults=heartbeats:0.1,storage`.
 #pragma once
 
 #include <string>

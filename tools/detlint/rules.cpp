@@ -409,7 +409,7 @@ const std::map<std::string, int, std::less<>>& ranks_table() {
   static const std::map<std::string, int, std::less<>> kRanks = {
       {"common", 0},
       {"simkit", 1}, {"trace", 1},
-      {"obs", 2},    {"engine", 2},
+      {"obs", 2},
       {"cluster", 3}, {"dfs", 3}, {"recovery", 3},
       {"checkpoint", 4}, {"mapred", 4}, {"faults", 4},
       {"audit", 5}, {"workload", 5},

@@ -17,7 +17,7 @@
 //                   std::set<T*>, priority_queue over pointers, std::less<T*>)
 //                   — address order varies run to run under ASLR/allocators.
 //   layering        #include edges in src/ must follow the architecture DAG
-//                   (common → simkit/trace → obs/engine → cluster/dfs/recovery
+//                   (common → simkit/trace → obs → cluster/dfs/recovery
 //                   → checkpoint/mapred/faults → audit/workload → experiment);
 //                   a layer may include itself, peers of the same rank, and
 //                   anything below — never above.
