@@ -1,33 +1,37 @@
-// End-to-end simulation-throughput microbenchmark: eager vs coalesced.
+// End-to-end simulation-throughput microbenchmark: the shipping stack
+// against its two oracle modes.
 //
-// Sweeps {64, 256, 1024}-node clusters × both fairness models and runs the
-// identical seeded MOON workload (MOON speculator, indexed scheduler,
-// 2 maps/node + n/2 reduces, scripted availability churn — the same shape
-// whose 1024-node total_wall_ms motivated this work in
-// BENCH_sched_hotpath.json) under two settle-scheduling arms:
+// Sweeps {64, 256, 1024}-node clusters over four rows (speculator, fairness):
+// Hadoop/max-min, LATE/max-min, MOON/max-min and MOON/bshare. Every row runs
+// the identical seeded workload (2 maps/node + n/2 reduces, sleep-sized
+// data, scripted availability churn) on the shipping configuration — indexed
+// scheduler (SchedulerConfig::IndexMode::kIndexed) and coalesced settles
+// (CoalesceMode::kCoalesced: churn queues dirty work and the recompute runs
+// once per virtual timestamp) — plus the oracle arms it measures:
 //
-//   eager      — CoalesceMode::kEager: one full settle per churn event,
-//                the pre-coalescing cost profile.
-//   coalesced  — CoalesceMode::kCoalesced: churn queues dirty work and the
-//                recompute runs once per virtual timestamp via the
-//                Simulation's end-of-timestamp flush — the shipping
-//                configuration.
+//   eager  — MOON rows: CoalesceMode::kEager, one full settle per churn
+//            event, the pre-coalescing cost profile.
+//   scan   — max-min rows: IndexMode::kScan, every heartbeat re-scans all
+//            jobs x tasks with per-task attempt walks — the pre-index cost
+//            profile (the paper's Figure 4 "scheduling time" axis).
 //
-// The two arms are bit-identical in simulated outcomes (enforced by
-// tests/experiment/coalesce_equivalence_test.cpp and re-asserted here on
-// launches, completion time, heartbeats, and DFS byte counters; the binary
-// exits non-zero on any divergence), so the wall-clock gap is pure
-// simulator cost. Each arm also reports the sim::Profiler breakdown
-// (settle/recompute, DFS probes, replication scans, heartbeats,
-// speculation) and `solved_flows`, the flows the flow solver re-solved
-// (FlowNetwork::solved_flows), so the next perf PR starts from
-// measurements. Emits BENCH_e2e.json. MOON_BENCH_REPS controls repetitions (best-of);
-// MOON_E2E_NODES ("64,256") trims the sweep for smoke runs.
+// The oracles are bit-identical to the shipping arm in simulated outcomes
+// (enforced by tests/experiment/coalesce_equivalence_test.cpp and
+// tests/mapred/sched_equivalence_test.cpp, and re-asserted here: launches,
+// completion time and heartbeats for both, DFS byte counters for eager,
+// executed events for scan; the binary exits non-zero on any divergence),
+// so the wall-clock gaps are pure simulator cost. Each arm reports the
+// sim::Profiler breakdown — scheduling ms is its kHeartbeat key — and
+// `solved_flows`, the flows the flow solver re-solved
+// (FlowNetwork::solved_flows). Emits BENCH_e2e.json. MOON_BENCH_REPS
+// controls repetitions (best-of); MOON_E2E_NODES ("64,256") trims the sweep
+// for smoke runs.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -55,6 +59,8 @@ std::vector<Flip> make_churn(std::uint64_t seed, std::size_t nodes,
   Rng rng{seed};
   std::vector<Flip> script;
   sim::Time t = 30 * sim::kSecond;
+  // ~1 outage per 8 nodes per minute: enough churn to keep the frozen/slow
+  // lists and failed-task buckets busy without stalling the job.
   const auto step = std::max<sim::Duration>(
       sim::kSecond, 480 * sim::kSecond / static_cast<sim::Duration>(nodes));
   while (t < horizon) {
@@ -79,16 +85,15 @@ struct ArmResult {
   std::int64_t replication_bytes = 0;
   std::uint64_t solved_flows = 0;
   sim::Profiler::Snapshot profile{};
+
+  [[nodiscard]] const sim::Profiler::Counter& key(sim::Profiler::Key k) const {
+    return profile[static_cast<std::size_t>(k)];
+  }
 };
 
-ArmResult run_arm(int nodes, sim::FairnessModel fairness,
-                  sim::CoalesceMode coalesce) {
+ArmResult run_arm(int nodes, mapred::SchedulerConfig sched,
+                  sim::FairnessModel fairness, sim::CoalesceMode coalesce) {
   const auto wall_start = std::chrono::steady_clock::now();  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
-
-  mapred::SchedulerConfig sched;
-  sched.tracker_expiry = 30 * sim::kMinute;
-  sched.suspension_interval = 30 * sim::kSecond;
-  sched.moon_scheduling = true;  // MOON speculator; index_mode stays kIndexed
 
   sim::Simulation simu(7);
   cluster::Cluster cluster(simu, fairness, sim::SolverMode::kIncremental,
@@ -165,16 +170,6 @@ ArmResult run_arm(int nodes, sim::FairnessModel fairness,
   return r;
 }
 
-ArmResult best_of(int reps, int nodes, sim::FairnessModel fairness,
-                  sim::CoalesceMode coalesce) {
-  ArmResult best;
-  for (int i = 0; i < reps; ++i) {
-    ArmResult r = run_arm(nodes, fairness, coalesce);
-    if (i == 0 || r.wall_ms < best.wall_ms) best = r;
-  }
-  return best;
-}
-
 std::vector<int> node_sweep() {
   std::vector<int> nodes;
   if (const char* env = std::getenv("MOON_E2E_NODES")) {
@@ -189,114 +184,175 @@ std::vector<int> node_sweep() {
   return nodes;
 }
 
-/// The simulated outcomes that must be bit-identical across the arms.
-/// (Executed-event counts are *not* compared: coalescing legitimately
-/// changes how often the completion event is cancelled and re-armed.)
-bool outcomes_match(const ArmResult& a, const ArmResult& b) {
-  return a.completed == b.completed && a.finished_at == b.finished_at &&
-         a.launched == b.launched && a.speculative == b.speculative &&
-         a.heartbeats == b.heartbeats && a.bytes_read == b.bytes_read &&
+/// The simulated outcomes every oracle arm must reproduce bit for bit.
+/// Executed-event counts are compared only for scan (coalescing legitimately
+/// changes how often the completion event is cancelled and re-armed); DFS
+/// byte counters only for eager.
+bool outcomes_match(const ArmResult& a, const ArmResult& b, bool scan) {
+  const bool common = a.completed == b.completed &&
+                      a.finished_at == b.finished_at &&
+                      a.launched == b.launched &&
+                      a.speculative == b.speculative &&
+                      a.heartbeats == b.heartbeats;
+  if (scan) return common && a.events == b.events;
+  return common && a.bytes_read == b.bytes_read &&
          a.bytes_written == b.bytes_written &&
          a.replication_bytes == b.replication_bytes;
 }
 
-void profile_fields(bench::JsonEmitter& json, const sim::Profiler::Snapshot& p) {
-  for (std::size_t k = 0; k < sim::Profiler::kKeyCount; ++k) {
-    const auto key = static_cast<sim::Profiler::Key>(k);
-    json.field(std::string(sim::Profiler::name(key)) + "_ms", p[k].ms());
-    json.field(std::string(sim::Profiler::name(key)) + "_calls",
-               static_cast<std::int64_t>(p[k].calls));
+/// MOON's speculator and DFS-aware recovery with a 30 s suspension
+/// interval (the paper preset, experiment::moon_scheduler, uses 1 min).
+mapred::SchedulerConfig moon_config() {
+  mapred::SchedulerConfig cfg;
+  cfg.tracker_expiry = 30 * sim::kMinute;
+  cfg.suspension_interval = 30 * sim::kSecond;
+  cfg.speculator = mapred::SchedulerConfig::Speculator::kMoon;
+  cfg.dfs_aware_recovery = true;
+  return cfg;
+}
+
+struct Row {
+  const char* speculator;
+  const char* fairness;
+  mapred::SchedulerConfig sched;
+  sim::FairnessModel model;
+};
+
+struct Arm {
+  const char* mode;
+  mapred::SchedulerConfig::IndexMode index;
+  sim::CoalesceMode coalesce;
+};
+
+constexpr Arm kShipping{"shipping", mapred::SchedulerConfig::IndexMode::kIndexed,
+                        sim::CoalesceMode::kCoalesced};
+constexpr Arm kEager{"eager", mapred::SchedulerConfig::IndexMode::kIndexed,
+                     sim::CoalesceMode::kEager};
+constexpr Arm kScan{"scan", mapred::SchedulerConfig::IndexMode::kScan,
+                    sim::CoalesceMode::kCoalesced};
+
+ArmResult best_of(int reps, int nodes, const Row& row, const Arm& arm) {
+  mapred::SchedulerConfig sched = row.sched;
+  sched.index_mode = arm.index;
+  ArmResult best;
+  for (int i = 0; i < reps; ++i) {
+    ArmResult r = run_arm(nodes, sched, row.model, arm.coalesce);
+    if (i == 0 || r.wall_ms < best.wall_ms) best = r;
   }
+  return best;
 }
 
 }  // namespace
 
 int main() {
+  using Key = sim::Profiler::Key;
+  const std::vector<Row> rows{
+      {"Hadoop", "maxmin", experiment::hadoop_scheduler(60 * sim::kSecond),
+       sim::FairnessModel::kMaxMin},
+      {"LATE", "maxmin", experiment::late_scheduler(60 * sim::kSecond),
+       sim::FairnessModel::kMaxMin},
+      {"MOON", "maxmin", moon_config(), sim::FairnessModel::kMaxMin},
+      {"MOON", "bshare", moon_config(), sim::FairnessModel::kBottleneckShare},
+  };
   const int reps = bench::repetitions();
   bench::JsonEmitter json("e2e");
   Table table("e2e_throughput");
-  table.columns({"nodes", "fairness", "eager ms", "coalesced ms", "speedup",
-                 "settle ms (e/c)", "recompute calls (e/c)",
-                 "solved flows (e/c)", "sim events"});
+  table.columns({"nodes", "speculator", "fairness", "wall ms", "eager ms",
+                 "scan ms", "sched ms", "scan sched ms", "settle ms",
+                 "recompute calls", "solved flows", "sim events"});
+  const auto dash_or = [](bool ran, const std::string& text) {
+    return ran ? text : std::string("-");
+  };
 
-  bool met_target_at_1024 = false;
-  bool ran_1024 = false;
   for (const int nodes : node_sweep()) {
-    for (const sim::FairnessModel fairness :
-         {sim::FairnessModel::kMaxMin, sim::FairnessModel::kBottleneckShare}) {
-      const std::string fname =
-          fairness == sim::FairnessModel::kMaxMin ? "maxmin" : "bshare";
-      const ArmResult eager =
-          best_of(reps, nodes, fairness, sim::CoalesceMode::kEager);
-      const ArmResult coalesced =
-          best_of(reps, nodes, fairness, sim::CoalesceMode::kCoalesced);
-      if (!outcomes_match(eager, coalesced)) {
-        std::cerr << "FATAL: coalesce arms diverged at " << nodes << " nodes ("
-                  << fname << "): eager " << eager.launched
-                  << " launches/finish " << eager.finished_at << "/read "
-                  << eager.bytes_read << " vs coalesced " << coalesced.launched
-                  << "/" << coalesced.finished_at << "/"
-                  << coalesced.bytes_read << "\n";
-        return 1;
+    for (const Row& row : rows) {
+      const bool moon =
+          row.sched.speculator == mapred::SchedulerConfig::Speculator::kMoon;
+      const bool maxmin = row.model == sim::FairnessModel::kMaxMin;
+      const ArmResult shipping = best_of(reps, nodes, row, kShipping);
+      const ArmResult eager = moon ? best_of(reps, nodes, row, kEager) : ArmResult{};
+      const ArmResult scan = maxmin ? best_of(reps, nodes, row, kScan) : ArmResult{};
+      for (const auto& [ran, arm, oracle] :
+           {std::tuple{moon, &kEager, &eager}, std::tuple{maxmin, &kScan, &scan}}) {
+        if (ran && !outcomes_match(shipping, *oracle, arm == &kScan)) {
+          std::cerr << "FATAL: " << arm->mode << " arm diverged at " << nodes
+                    << " nodes (" << row.speculator << "/" << row.fairness
+                    << "): shipping " << shipping.launched << " launches/finish "
+                    << shipping.finished_at << "/events " << shipping.events
+                    << "/read " << shipping.bytes_read << " vs "
+                    << oracle->launched << "/" << oracle->finished_at << "/"
+                    << oracle->events << "/" << oracle->bytes_read << "\n";
+          return 1;
+        }
       }
-      const double speedup = eager.wall_ms / coalesced.wall_ms;
-      if (nodes == 1024) {
-        ran_1024 = true;
-        met_target_at_1024 = met_target_at_1024 || speedup >= 3.0;
-      }
-      const auto settle_ms = [](const ArmResult& a) {
-        return a.profile[static_cast<std::size_t>(sim::Profiler::Key::kSettle)]
-            .ms();
+
+      const auto sched_ms = [](const ArmResult& a) {
+        return a.key(Key::kHeartbeat).ms();
       };
-      const auto recomputes = [](const ArmResult& a) {
-        return a.profile[static_cast<std::size_t>(
-                             sim::Profiler::Key::kRecompute)]
-            .calls;
+      // "eager/shipping" where the eager arm ran, else the shipping figure.
+      const auto pair = [&](auto get) {
+        return (moon ? get(eager) + "/" : std::string()) + get(shipping);
       };
       table.add_row(
-          {std::to_string(nodes), fname, Table::num(eager.wall_ms, 0),
-           Table::num(coalesced.wall_ms, 0), Table::num(speedup, 1),
-           Table::num(settle_ms(eager), 0) + "/" +
-               Table::num(settle_ms(coalesced), 0),
-           std::to_string(recomputes(eager)) + "/" +
-               std::to_string(recomputes(coalesced)),
-           std::to_string(eager.solved_flows) + "/" +
-               std::to_string(coalesced.solved_flows),
-           std::to_string(coalesced.events)});
-      for (const auto* arm : {&eager, &coalesced}) {
+          {std::to_string(nodes), row.speculator, row.fairness,
+           Table::num(shipping.wall_ms, 0),
+           dash_or(moon, Table::num(eager.wall_ms, 0)),
+           dash_or(maxmin, Table::num(scan.wall_ms, 0)),
+           Table::num(sched_ms(shipping), 1),
+           dash_or(maxmin, Table::num(sched_ms(scan), 1)),
+           pair([](const ArmResult& a) {
+             return Table::num(a.key(Key::kSettle).ms(), 0);
+           }),
+           pair([](const ArmResult& a) {
+             return std::to_string(a.key(Key::kRecompute).calls);
+           }),
+           pair([](const ArmResult& a) { return std::to_string(a.solved_flows); }),
+           std::to_string(shipping.events)});
+      for (const auto& [ran, arm, result] :
+           {std::tuple{true, &kShipping, &shipping}, std::tuple{moon, &kEager, &eager},
+            std::tuple{maxmin, &kScan, &scan}}) {
+        if (!ran) continue;
         json.begin_row()
             .field("nodes", static_cast<std::int64_t>(nodes))
-            .field("fairness", fname)
-            .field("mode", arm == &eager ? "eager" : "coalesced")
-            .field("total_wall_ms", arm->wall_ms)
-            .field("speedup", arm == &eager ? 1.0 : speedup)
-            .field("completed", static_cast<std::int64_t>(arm->completed ? 1 : 0))
-            .field("finished_at_s", sim::to_seconds(arm->finished_at))
-            .field("launched_attempts", static_cast<std::int64_t>(arm->launched))
+            .field("speculator", row.speculator)
+            .field("fairness", row.fairness)
+            .field("mode", arm->mode)
+            .field("total_wall_ms", result->wall_ms)
+            .field("sched_wall_ms", sched_ms(*result))
+            .field("speedup", shipping.wall_ms > 0.0
+                                  ? result->wall_ms / shipping.wall_ms
+                                  : 0.0)
+            .field("completed", static_cast<std::int64_t>(result->completed ? 1 : 0))
+            .field("finished_at_s", sim::to_seconds(result->finished_at))
+            .field("launched_attempts", static_cast<std::int64_t>(result->launched))
             .field("speculative_attempts",
-                   static_cast<std::int64_t>(arm->speculative))
-            .field("heartbeats", static_cast<std::int64_t>(arm->heartbeats))
-            .field("sim_events", static_cast<std::int64_t>(arm->events))
-            .field("bytes_read", arm->bytes_read)
-            .field("bytes_written", arm->bytes_written)
-            .field("replication_bytes", arm->replication_bytes)
-            .field("solved_flows", static_cast<std::int64_t>(arm->solved_flows));
-        profile_fields(json, arm->profile);
+                   static_cast<std::int64_t>(result->speculative))
+            .field("heartbeats", static_cast<std::int64_t>(result->heartbeats))
+            .field("sim_events", static_cast<std::int64_t>(result->events))
+            .field("bytes_read", result->bytes_read)
+            .field("bytes_written", result->bytes_written)
+            .field("replication_bytes", result->replication_bytes)
+            .field("solved_flows", static_cast<std::int64_t>(result->solved_flows));
+        for (std::size_t k = 0; k < sim::Profiler::kKeyCount; ++k) {
+          const auto key = static_cast<Key>(k);
+          json.field(std::string(sim::Profiler::name(key)) + "_ms",
+                     result->profile[k].ms());
+          json.field(std::string(sim::Profiler::name(key)) + "_calls",
+                     static_cast<std::int64_t>(result->profile[k].calls));
+        }
       }
     }
   }
 
-  std::cout << "End-to-end sim throughput: eager (settle per churn event) vs "
-               "coalesced (one settle\nper virtual timestamp); MOON "
-               "speculator, indexed scheduler, identical simulated\n"
+  std::cout << "End-to-end sim throughput: the shipping stack (indexed "
+               "scheduler, one settle\nper virtual timestamp) vs its "
+               "eager-settle and scan-scheduler oracles;\nidentical simulated "
                "schedules, best of "
-            << reps << " rep(s).\n\n";
+            << reps << " rep(s). \"-\" marks an arm a row does not\nrun; "
+               "settle/recompute/solved flows read eager/shipping on MOON "
+               "rows.\n\n";
   table.print(std::cout);
   const std::string path = json.write();
   if (!path.empty()) std::cout << "\nwrote " << path << "\n";
-  if (ran_1024 && !met_target_at_1024) {
-    std::cerr << "\nWARNING: <3x total-wall speedup at 1024 nodes (target "
-                 "from ISSUE 5)\n";
-  }
   return 0;
 }

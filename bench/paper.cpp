@@ -2,16 +2,20 @@
 // studies, from one table of cells (DESIGN.md §6: the target is their shape).
 //
 //   ./bench_paper [TABLE...] [--trace=FILE] [--metrics=FILE] [--events=FILE]
-//                 [--faults=SPEC]
+//                 [--faults=SPEC] [--admission=SPEC] [--deadline=SECONDS]
 //
-// TABLE is fig1 table1 fig4 fig5 fig6 table2 fig7 ablation late correlated;
-// with none, every table runs (an unknown name exits 2). A cell is one
-// simulated configuration; each distinct cell runs run_repetitions once
-// however many tables print it (Fig 5 is Fig 4's sweep; Table II, Fig 7's D6
-// rows and two ablation rows are Fig 6 cells). The flags apply to every cell;
-// the exports hold the last finished run. A full run writes BENCH_paper.json:
-// one row per printed (table, row, column) cell, simulated quantities only,
-// so a rerun reproduces it byte for byte.
+// TABLE is fig1 table1 fig4 fig5 fig6 table2 fig7 ablation late correlated
+// checkpoint chaos failover multijob steady; with none, every table runs (an
+// unknown name exits 2). A cell is one simulated configuration; each distinct
+// cell runs run_repetitions once however many tables print it (Fig 5 is Fig
+// 4's sweep; Table II, Fig 7's D6 rows and two ablation rows are Fig 6
+// cells). multijob and steady run job streams instead. The flags apply to
+// every cell and stream; the exports hold the last finished run. The
+// extension tables' checks (audit violations, journal divergences, DNFs,
+// policy orderings, admission bounds, run-twice fingerprints) make the
+// binary exit 1 once every selected table has printed. A full run writes
+// BENCH_paper.json: one row per printed (table, row, column) cell, simulated
+// quantities only, so a rerun reproduces it byte for byte.
 #include <algorithm>
 #include <compare>
 #include <cstdio>
@@ -25,6 +29,8 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "experiment/flags.hpp"
+#include "experiment/multi_job.hpp"
+#include "mapred/job_policy.hpp"
 #include "trace/trace_generator.hpp"
 #include "trace/trace_stats.hpp"
 
@@ -93,39 +99,68 @@ constexpr Toggle kAblations[] = {
 };
 
 /// The cell memo: runs each distinct cell once with the command-line flags
-/// layered on, and records the cells tables print as BENCH_paper.json rows.
+/// layered on, records the cells tables print as BENCH_paper.json rows, and
+/// collects the failed checks main reports once every table has printed.
 class Cells {
  public:
+  using Observer = std::function<void(const experiment::RunResult&)>;
+
   Cells(int& argc, char** argv)
       : flags_(experiment::parse_scenario_flags(argc, argv)),
         reps_(bench::repetitions()) {}
 
   [[nodiscard]] int reps() const { return reps_; }
-  [[nodiscard]] std::size_t simulated() const { return memo_.size(); }
+  [[nodiscard]] std::size_t simulated() const { return simulated_; }
+  [[nodiscard]] std::size_t streams() const { return streams_; }
+  [[nodiscard]] const std::vector<std::string>& failures() const {
+    return failures_;
+  }
 
   /// The cell's summary, simulated on first use.
   const Summary& run(const Cell& cell) {
     auto [it, inserted] = memo_.try_emplace(cell);
-    if (inserted) {
-      std::function<void(const experiment::RunResult&)> observer;
-      if (flags_.any_obs()) {
-        observer = [this](const experiment::RunResult& r) {
-          if (r.obs) bundle_ = r.obs;
-        };
-      }
-      it->second = experiment::run_repetitions(config(cell), reps_, observer);
-    }
+    if (inserted) it->second = study(config(cell));
     return it->second;
+  }
+
+  /// An extension study's own configuration: reps() seeds through
+  /// run_repetitions with the flags layered on; `observer` sees every run.
+  Summary study(experiment::ScenarioConfig cfg, const Observer& observer = {}) {
+    flags_.apply(cfg);
+    flags_.apply_obs(cfg.obs);
+    ++simulated_;
+    return experiment::run_repetitions(
+        cfg, reps_, [&](const experiment::RunResult& r) {
+          keep(r);
+          if (observer) observer(r);
+        });
+  }
+
+  /// One run of a job stream with the flags layered on.
+  experiment::MultiJobResult stream(experiment::MultiJobConfig cfg) {
+    flags_.apply(cfg);
+    flags_.apply_obs(cfg.base.obs);
+    ++streams_;
+    experiment::MultiJobResult result = experiment::run_multi_job_scenario(cfg);
+    keep(result);
+    return result;
+  }
+
+  /// Starts the BENCH_paper.json row (table, row, column); the caller adds
+  /// the simulated quantities.
+  bench::JsonEmitter& record(const std::string& table, const std::string& row,
+                             const std::string& column) {
+    return json_.begin_row()
+        .field("table", table)
+        .field("row", row)
+        .field("column", column);
   }
 
   /// run(cell), recorded as the BENCH_paper.json row (table, row, column).
   const Summary& at(const std::string& table, const std::string& row,
                     const std::string& column, const Cell& cell) {
     const Summary& s = run(cell);
-    json_.begin_row()
-        .field("table", table)
-        .field("row", row)
-        .field("column", column)
+    record(table, row, column)
         .field("time_s", s.execution_time_s.mean())
         .field("completed_runs", std::int64_t{s.completed_runs})
         .field("total_runs", std::int64_t{s.total_runs})
@@ -135,6 +170,9 @@ class Cells {
         .field("fetch_failures", s.fetch_failures.mean());
     return s;
   }
+
+  /// A failed check: main exits 1 once every selected table has printed.
+  void fail(std::string why) { failures_.push_back(std::move(why)); }
 
   /// Writes BENCH_paper.json; returns the path, or "" when disabled.
   [[nodiscard]] std::string write_json() const { return json_.write(); }
@@ -168,14 +206,20 @@ class Cells {
       cfg.correlation_group_size = 20;
       cfg.correlated_event_mean_s = 1200.0;  // sessions ~ job length
     }
-    flags_.apply(cfg);
-    flags_.apply_obs(cfg.obs);
     return cfg;
+  }
+
+  /// Keeps the run's observability bundle for the exports.
+  void keep(const experiment::RunCounters& run) {
+    if (run.obs) bundle_ = run.obs;
   }
 
   experiment::ScenarioFlags flags_;
   int reps_;
   std::map<Cell, Summary> memo_;
+  std::size_t simulated_ = 0;
+  std::size_t streams_ = 0;
+  std::vector<std::string> failures_;
   bench::JsonEmitter json_{"paper"};
   std::shared_ptr<obs::Observability> bundle_;
 };
@@ -365,7 +409,7 @@ void fig4(Cells& cells) {
     return Table::num(s.scheduling_wall_ms.mean(), 1);
   };
   std::cout << "\n(measured control-plane cost; indexed scheduler hot path — "
-               "see bench_micro_sched_hotpath for the scan-mode baseline)\n";
+               "see bench_micro_e2e_throughput for the scan-mode baseline)\n";
   scheduling_grid(cells, "Fig 4(a) sleep(sort): JobTracker scheduling wall (ms)",
                   App::kSort, kSchedulingPolicies, wall, /*record=*/false);
   std::cout << '\n';
@@ -598,6 +642,24 @@ void ablation(Cells& cells) {
 
 // ---- extensions ------------------------------------------------------------
 
+/// The 32-map, 8-reduce sort of the checkpoint, chaos and failover studies
+/// (8 MiB blocks and intermediate per map, 256 MiB output), with the study's
+/// name and map/reduce compute seconds.
+workload::WorkloadModel small_sort(const char* name, int map_s, int reduce_s) {
+  workload::WorkloadModel m;
+  m.name = name;
+  m.kind = workload::AppKind::kSort;
+  m.num_maps = 32;
+  m.fixed_reduces = 8;
+  m.map_compute = sim::seconds(map_s);
+  m.reduce_compute = sim::seconds(reduce_s);
+  m.intermediate_per_map = mib(8.0);
+  m.input_size = static_cast<Bytes>(m.num_maps) * mib(8.0);
+  m.total_output = mib(256.0);
+  m.input_block_bytes = mib(8.0);
+  return m;
+}
+
 // Extension experiment (paper §VII/related work): LATE (Zaharia et al.,
 // OSDI'08) on opportunistic resources, versus Hadoop and MOON.
 //
@@ -663,6 +725,724 @@ void correlated(Cells& cells) {
        });
 }
 
+// Extension: reduce-task checkpointing under churn (not in the paper; see
+// DESIGN.md § checkpointing).
+//
+// MOON's answer to losing long-running reduces is pinning them on dedicated
+// nodes (§V-C hybrid mode). The checkpoint subsystem attacks the same
+// problem without dedicated-aware scheduling: running reduces persist
+// shuffle/compute progress into the DFS, and rescheduled attempts resume
+// from the latest live checkpoint. This bench sweeps unavailability with
+// hybrid awareness OFF and compares checkpointing on vs off — the win
+// should grow with the unavailability rate, since higher churn kills more
+// nearly-done reduces.
+void checkpoint(Cells& cells) {
+  const auto config = [](double rate, bool checkpointing) {
+    auto cfg = bench::paper_testbed();
+    cfg.volatile_nodes = 20;
+    cfg.dedicated_nodes = 2;
+    // Reduce-heavy workload scaled for bench runtime: long post-shuffle
+    // compute makes a killed reduce expensive, which is exactly the regime
+    // checkpointing targets.
+    cfg.app = small_sort("churn", 5, 480);
+    // Non-hybrid on purpose: no dedicated-aware placement to lean on.
+    cfg.sched = checkpointing ? experiment::moon_checkpoint_scheduler(false)
+                              : experiment::moon_scheduler(false);
+    cfg.unavailability_rate = rate;
+    cfg.intermediate_kind = dfs::FileKind::kOpportunistic;
+    cfg.intermediate_factor = {1, 1};
+    return cfg;
+  };
+
+  std::cout << "=== Extension: reduce checkpointing under churn ===\n"
+            << "(reduce-heavy workload, 20 volatile + 2 dedicated, non-hybrid "
+               "MOON scheduling, "
+            << cells.reps() << " repetitions)\n\n";
+  const std::string title = "Checkpointing on/off vs unavailability (non-hybrid)";
+  Table table(title);
+  table.columns({"rate", "variant", "time (s)", "speedup", "duplicated",
+                 "ckpts", "resumes", "salvaged"});
+  for (double rate : {0.2, 0.3, 0.4, 0.5}) {
+    double off_time = 0.0;
+    for (bool checkpointing : {false, true}) {
+      const Summary summary = cells.study(config(rate, checkpointing));
+      const double mean = summary.execution_time_s.mean();
+      if (!checkpointing) off_time = mean;
+      const std::string variant = checkpointing ? "MOON+ckpt" : "MOON";
+      table.add_row({Table::num(rate, 1), variant, time_cell(summary),
+                     checkpointing && off_time > 0.0
+                         ? Table::num(off_time / mean, 2) + "x"
+                         : "-",
+                     Table::num(summary.duplicated_tasks.mean(), 1),
+                     Table::num(summary.checkpoints_written.mean(), 1),
+                     Table::num(summary.checkpoint_resumes.mean(), 1),
+                     Table::num(summary.checkpoint_salvaged.mean(), 2)});
+      cells.record(title, Table::num(rate, 1), variant)
+          .field("time_s", mean)
+          .field("completed_runs", std::int64_t{summary.completed_runs})
+          .field("total_runs", std::int64_t{summary.total_runs})
+          .field("duplicated_tasks", summary.duplicated_tasks.mean())
+          .field("checkpoints_written", summary.checkpoints_written.mean())
+          .field("checkpoint_resumes", summary.checkpoint_resumes.mean())
+          .field("progress_salvaged", summary.checkpoint_salvaged.mean());
+    }
+  }
+  table.print(std::cout);
+  std::cout << "\n(speedup >1.0x = checkpointing faster; the gap should widen\n"
+               "as the unavailability rate grows and more reduces die late.)\n";
+}
+
+// Extension: chaos sweep across the fault-injection classes (DESIGN.md §13;
+// not in the paper — the paper's churn is availability traces only).
+//
+// Layers each fault class (and all of them together) on top of the normal
+// volatile-fleet churn and measures what the stack does about it: goodput,
+// job aborts, repair traffic, checkpoint resumes, quarantines. The invariant
+// auditor sweeps every simulated minute in every variant — a violation in
+// any cell fails the bench.
+void chaos(Cells& cells) {
+  // Shuffle-heavy sort scaled for bench runtime; long reduces give the
+  // storage / straggler classes something to hurt.
+  const auto m = small_sort("chaos", 10, 240);
+  const auto config = [&](const std::string& spec) {
+    auto cfg = bench::paper_testbed();
+    cfg.volatile_nodes = 24;
+    cfg.dedicated_nodes = 4;
+    cfg.app = m;
+    // Checkpointing + quarantine on: chaos is exactly the regime the
+    // containment machinery exists for.
+    cfg.sched = experiment::moon_checkpoint_scheduler(false);
+    cfg.sched.quarantine_threshold = 5;
+    cfg.unavailability_rate = 0.3;
+    cfg.intermediate_kind = dfs::FileKind::kOpportunistic;
+    cfg.intermediate_factor = {1, 1};
+    if (!spec.empty() && !experiment::apply_fault_spec(spec, cfg.faults)) {
+      std::exit(2);
+    }
+    // Auditor always on — every cell doubles as an invariant check.
+    cfg.faults.enabled = true;
+    cfg.faults.audit_interval = 60 * sim::kSecond;
+    // Power-cycle cadence scaled to the ~5-minute job (the 1-hour default
+    // would never fire inside the horizon).
+    cfg.faults.outages.mean_interval = 4 * sim::kMinute;
+    cfg.faults.outages.mean_outage = 90 * sim::kSecond;
+    return cfg;
+  };
+  const std::vector<std::pair<std::string, std::string>> variants{
+      {"none", ""},
+      {"outages", "outages"},
+      {"heartbeats", "heartbeats:0.1"},
+      {"storage", "storage:0.05"},
+      {"stragglers", "stragglers:0.2"},
+      {"all", "all"},
+  };
+  const int reps = cells.reps();
+  std::cout << "=== Extension: chaos sweep across fault classes ===\n"
+            << "(24 volatile + 4 dedicated, rate 0.3, MOON+ckpt non-hybrid, "
+               "quarantine on, auditor every 60 s, "
+            << reps << " repetitions)\n\n";
+
+  const std::string title = "Fault classes vs goodput / aborts / repair traffic";
+  Table table(title);
+  table.columns({"faults", "time (s)", "goodput (MiB/s)", "aborts",
+                 "injected", "repair (MiB)", "resumes", "quarantines",
+                 "violations"});
+  std::int64_t violations = 0;
+  for (const auto& [name, spec] : variants) {
+    double repair_bytes = 0.0;
+    std::int64_t injected = 0;
+    std::int64_t quarantines = 0;
+    std::int64_t resumes = 0;
+    std::int64_t cell_violations = 0;
+    int aborts = 0;
+    const Summary summary =
+        cells.study(config(spec), [&](const experiment::RunResult& run) {
+          repair_bytes += static_cast<double>(run.dfs_stats.replication_bytes);
+          injected += run.fault_stats.total_injected();
+          quarantines += run.quarantines;
+          resumes += run.metrics.checkpoint_resumes;
+          cell_violations += run.audit_violations;
+          if (run.metrics.failed) ++aborts;
+        });
+    violations += cell_violations;
+
+    const double mean_s = summary.execution_time_s.mean();
+    const double goodput =
+        mean_s > 0.0
+            ? static_cast<double>(m.input_size) / (1024.0 * 1024.0) / mean_s
+            : 0.0;
+    table.add_row(
+        {name, time_cell(summary), Table::num(goodput, 2),
+         Table::num(std::int64_t{aborts}),
+         Table::num(injected / std::int64_t{reps}),
+         Table::num(repair_bytes / (1024.0 * 1024.0) / reps, 1),
+         Table::num(resumes / std::int64_t{reps}),
+         Table::num(quarantines / std::int64_t{reps}),
+         Table::num(cell_violations)});
+    cells.record(title, name, "time (s)")
+        .field("time_s", mean_s)
+        .field("goodput_mib_s", goodput)
+        .field("completed_runs", std::int64_t{summary.completed_runs})
+        .field("total_runs", std::int64_t{summary.total_runs})
+        .field("aborts", std::int64_t{aborts})
+        .field("faults_injected", injected)
+        .field("repair_mib", repair_bytes / (1024.0 * 1024.0))
+        .field("checkpoint_resumes", resumes)
+        .field("quarantines", quarantines)
+        .field("audit_violations", cell_violations);
+  }
+  table.print(std::cout);
+  if (violations != 0) {
+    cells.fail("chaos: " + std::to_string(violations) + " invariant violations");
+  }
+}
+
+// Extension: master failover sweep (DESIGN.md §14; not in the paper — MOON
+// assumes its masters on dedicated nodes never fail).
+//
+// Crashes the NameNode and JobTracker mid-job across a grid of master
+// downtime × worker unavailability and measures what failover costs: job
+// slowdown against a crash-free baseline, measured master downtime, parked
+// DFS ops, retry traffic, re-registration and parked-report replay volume.
+// Every recovery replays the journal and diffs it against live state — a
+// divergence means recovery lost (or invented) a completed task, and any
+// divergence or non-completing job fails the bench.
+void failover(Cells& cells) {
+  // downtime_s == 0 means master_crash off (the baseline cell).
+  const auto config = [](double unavailability, int downtime_s) {
+    auto cfg = bench::paper_testbed();
+    cfg.volatile_nodes = 24;
+    cfg.dedicated_nodes = 4;
+    // Sort with long-enough reduces that master outages land mid-pipeline,
+    // on both the map/shuffle and the output-commit paths.
+    cfg.app = small_sort("failover", 10, 180);
+    cfg.sched = experiment::moon_scheduler(true);
+    cfg.unavailability_rate = unavailability;
+    cfg.max_sim_time = 4 * sim::kHour;
+    if (downtime_s > 0) {
+      cfg.faults.enabled = true;
+      cfg.faults.master_crash.enabled = true;
+      // Cadence scaled to the ~6-minute job so both masters crash inside it.
+      cfg.faults.master_crash.mean_interval = 3 * sim::kMinute;
+      cfg.faults.master_crash.min_interval = 60 * sim::kSecond;
+      cfg.faults.master_crash.mean_downtime = sim::seconds(downtime_s);
+      cfg.faults.master_crash.min_downtime = std::max<sim::Duration>(
+          sim::seconds(downtime_s) / 2, 5 * sim::kSecond);
+      cfg.faults.master_crash.max_crashes = 2;
+    }
+    return cfg;
+  };
+
+  const int reps = cells.reps();
+  std::cout << "=== Extension: master failover — downtime x unavailability ===\n"
+            << "(24 volatile + 4 dedicated, MOON hybrid, both masters crash "
+               "up to 2x each, "
+            << reps << " repetitions)\n\n";
+
+  const std::string title = "Master downtime vs job slowdown / recovery work";
+  Table table(title);
+  table.columns({"unavail", "downtime (s)", "time (s)", "slowdown",
+                 "crashes", "down (s)", "parked", "retries", "replayed",
+                 "rereg", "orphans", "diverg"});
+  std::int64_t divergences_total = 0;
+  std::int64_t violations_total = 0;
+  int incomplete = 0;
+  for (const double unavail : {0.3, 0.5}) {
+    double baseline_s = 0.0;
+    for (const int downtime_s : {0, 30, 120, 300}) {
+      std::int64_t crashes = 0;
+      std::int64_t recoveries = 0;
+      double down_s = 0.0;
+      std::int64_t parked = 0;
+      std::int64_t retries = 0;
+      std::int64_t replayed = 0;
+      std::int64_t reregs = 0;
+      std::int64_t orphans = 0;
+      std::int64_t divergences = 0;
+      const Summary summary = cells.study(
+          config(unavail, downtime_s), [&](const experiment::RunResult& run) {
+            crashes += run.fault_stats.namenode_crashes +
+                       run.fault_stats.jobtracker_crashes;
+            recoveries += run.fault_stats.master_recoveries;
+            down_s += sim::to_seconds(run.fault_stats.master_downtime);
+            parked += run.dfs_stats.ops_parked + run.reports_parked;
+            retries += run.dfs_stats.master_retries;
+            replayed += run.reports_replayed;
+            reregs += run.reregistrations;
+            orphans += run.orphans_killed;
+            divergences += run.journal_divergences;
+            violations_total += run.audit_violations;
+            // Every crash that fired inside the run recovered inside it too
+            // (the run only ends once the job completes or the horizon hits).
+            if (!run.finished || run.fault_stats.master_recoveries !=
+                                     run.fault_stats.namenode_crashes +
+                                         run.fault_stats.jobtracker_crashes) {
+              ++incomplete;
+            }
+          });
+      divergences_total += divergences;
+
+      const double mean_s = summary.execution_time_s.mean();
+      if (downtime_s == 0) baseline_s = mean_s;
+      const double slowdown = baseline_s > 0.0 ? mean_s / baseline_s : 0.0;
+      table.add_row({Table::num(unavail, 1), Table::num(std::int64_t{downtime_s}),
+                     time_cell(summary), Table::num(slowdown, 2),
+                     Table::num(crashes / std::int64_t{reps}),
+                     Table::num(down_s / reps, 1),
+                     Table::num(parked / std::int64_t{reps}),
+                     Table::num(retries / std::int64_t{reps}),
+                     Table::num(replayed / std::int64_t{reps}),
+                     Table::num(reregs / std::int64_t{reps}),
+                     Table::num(orphans / std::int64_t{reps}),
+                     Table::num(divergences)});
+      cells.record(title, Table::num(unavail, 1), std::to_string(downtime_s))
+          .field("time_s", mean_s)
+          .field("slowdown", slowdown)
+          .field("completed_runs", std::int64_t{summary.completed_runs})
+          .field("total_runs", std::int64_t{summary.total_runs})
+          .field("master_crashes", crashes)
+          .field("master_recoveries", recoveries)
+          .field("master_downtime_s", down_s)
+          .field("ops_parked", parked)
+          .field("master_retries", retries)
+          .field("reports_replayed", replayed)
+          .field("reregistrations", reregs)
+          .field("orphans_killed", orphans)
+          .field("journal_divergences", divergences);
+    }
+  }
+  table.print(std::cout);
+  if (divergences_total != 0) {
+    cells.fail("failover: " + std::to_string(divergences_total) +
+               " journal divergences — recovery lost or invented state");
+  }
+  if (violations_total != 0) {
+    cells.fail("failover: " + std::to_string(violations_total) +
+               " audit violations");
+  }
+  if (incomplete != 0) {
+    cells.fail("failover: " + std::to_string(incomplete) +
+               " runs did not complete or left a master crash unrecovered");
+  }
+}
+
+// Extension: multi-job scheduling policies under churn (not in the paper;
+// the paper names concurrent-job scheduling as future work — see DESIGN.md
+// §10).
+//
+// A mixed arrival stream (one large shuffle-heavy job leading, small
+// compute-light jobs trailing) lands on an opportunistic cluster at 0.3 and
+// 0.5 unavailability. FIFO hands every freed slot to the oldest unfinished
+// job, so the leading large job starves the small ones; fair-share offers
+// slots by deficit (running attempts relative to remaining work), which
+// interleaves the stream and cuts mean job latency; SRTF gives the smallest
+// remaining job strict priority, cutting small-job latency further at the
+// cost of the large job's finish time.
+void multijob(Cells& cells) {
+  using JobPolicy = mapred::SchedulerConfig::JobPolicy;
+  // Large leading job: shuffle-heavy, many tasks — the FIFO monopolist.
+  workload::WorkloadModel large;
+  large.name = "large-sort";
+  large.kind = workload::AppKind::kSort;
+  // ~6 map waves on the 16-slot cluster below, so its pending-map pool stays
+  // non-empty long after the small jobs arrive — the FIFO starvation regime.
+  // Fewer reduces than reduce slots, or eagerly launched large reduces would
+  // wedge every policy equally.
+  large.num_maps = 96;
+  large.fixed_reduces = 8;
+  large.map_compute = sim::seconds(30);
+  large.reduce_compute = sim::seconds(60);
+  large.intermediate_per_map = mib(8.0);
+  large.input_size = static_cast<Bytes>(large.num_maps) * mib(8.0);
+  large.total_output = mib(384.0);
+  large.input_block_bytes = mib(8.0);
+  // Small trailing jobs: a handful of quick tasks each — the starved tenants.
+  workload::WorkloadModel small;
+  small.name = "small-wc";
+  small.kind = workload::AppKind::kWordCount;
+  small.num_maps = 6;
+  small.fixed_reduces = 2;
+  small.map_compute = sim::seconds(15);
+  small.reduce_compute = sim::seconds(10);
+  small.intermediate_per_map = mib(0.5);
+  small.input_size = static_cast<Bytes>(small.num_maps) * mib(8.0);
+  small.total_output = mib(8.0);
+  small.input_block_bytes = mib(8.0);
+  const auto config = [&](double rate, JobPolicy policy, std::uint64_t seed) {
+    experiment::MultiJobConfig cfg;
+    cfg.base = bench::paper_testbed();
+    cfg.base.volatile_nodes = 6;
+    cfg.base.dedicated_nodes = 2;
+    cfg.base.sched = experiment::moon_scheduler(true);
+    cfg.base.sched.job_policy = policy;
+    cfg.base.unavailability_rate = rate;
+    cfg.base.intermediate_kind = dfs::FileKind::kOpportunistic;
+    cfg.base.intermediate_factor = {1, 1};
+    cfg.base.input_factor = {1, 2};
+    cfg.base.output_factor = {1, 2};
+    cfg.base.seed = seed;
+    cfg.base.max_sim_time = 12 * sim::kHour;
+    // Keep the historical mean-latency semantics: a policy that leaves a job
+    // unfinished at the horizon pays for it in the mean (the ordering check
+    // below depends on that penalty).
+    cfg.count_dnf_latencies = true;
+
+    // One large job arrives first, four small jobs trail it at fixed offsets
+    // (round-robin over a mix that leads with the large model): the regime
+    // where submission-order scheduling visibly starves small tenants.
+    cfg.arrivals.process = workload::ArrivalConfig::Process::kFixedOffset;
+    cfg.arrivals.num_jobs = 5;
+    cfg.arrivals.first_arrival = sim::kMinute;
+    cfg.arrivals.fixed_offset = 30 * sim::kSecond;
+    cfg.arrivals.round_robin_mix = true;
+    cfg.arrivals.mix = {
+        {large, 1.0}, {small, 1.0}, {small, 1.0}, {small, 1.0}, {small, 1.0}};
+    return cfg;
+  };
+
+  const int reps = cells.reps();
+  std::cout << "=== Extension: multi-job policies on a mixed arrival stream ===\n"
+            << "(1 large sort + 4 small wordcounts, 6 volatile + 2 dedicated,\n"
+            << " MOON-Hybrid data management, " << reps << " repetitions)\n\n";
+
+  const std::string title = "FIFO vs fair-share vs SRTF under churn";
+  Table table(title);
+  table.columns({"rate", "policy", "mean lat (s)", "small lat (s)",
+                 "p95 lat (s)", "makespan (s)", "Jain", "done"});
+  bool ordering_ok = true;
+  for (double rate : {0.3, 0.5}) {
+    double fifo_mean = 0.0;
+    double fair_small = 0.0;
+    for (JobPolicy policy : {JobPolicy::kFifo, JobPolicy::kFairShare,
+                             JobPolicy::kShortestRemaining}) {
+      double mean_latency = 0.0;
+      double p95_latency = 0.0;
+      double makespan = 0.0;
+      double jain = 0.0;
+      double small_mean_latency = 0.0;
+      int completed = 0;
+      int jobs = 0;
+      for (int rep = 0; rep < reps; ++rep) {
+        const auto result = cells.stream(
+            config(rate, policy, 20100621 + static_cast<std::uint64_t>(rep)));
+        mean_latency += result.mean_latency_s;
+        p95_latency += result.p95_latency_s;
+        makespan += result.makespan_s;
+        jain += result.jain_fairness;
+        completed += result.completed_jobs;
+        jobs += result.submitted_jobs;
+        double small_sum = 0.0;
+        int small_n = 0;
+        for (const auto& job : result.jobs) {
+          if (job.name == "small-wc") {
+            small_sum += job.latency_s;
+            ++small_n;
+          }
+        }
+        if (small_n > 0) small_mean_latency += small_sum / small_n;
+      }
+      mean_latency /= reps;
+      p95_latency /= reps;
+      makespan /= reps;
+      jain /= reps;
+      small_mean_latency /= reps;
+
+      if (policy == JobPolicy::kFifo) fifo_mean = mean_latency;
+      if (policy == JobPolicy::kFairShare) {
+        fair_small = small_mean_latency;
+        if (mean_latency >= fifo_mean) ordering_ok = false;
+      }
+      if (policy == JobPolicy::kShortestRemaining &&
+          small_mean_latency >= fair_small) {
+        ordering_ok = false;
+      }
+
+      const std::string name = mapred::to_string(policy);
+      table.add_row({Table::num(rate, 1), name, Table::num(mean_latency, 0),
+                     Table::num(small_mean_latency, 0),
+                     Table::num(p95_latency, 0), Table::num(makespan, 0),
+                     Table::num(jain, 3),
+                     std::to_string(completed) + "/" + std::to_string(jobs)});
+      cells.record(title, Table::num(rate, 1), name)
+          .field("mean_latency_s", mean_latency)
+          .field("small_mean_latency_s", small_mean_latency)
+          .field("p95_latency_s", p95_latency)
+          .field("makespan_s", makespan)
+          .field("jain_fairness", jain)
+          .field("completed_jobs", std::int64_t{completed})
+          .field("submitted_jobs", std::int64_t{jobs});
+    }
+  }
+  table.print(std::cout);
+  std::cout << "\n(expected shape: fair-share beats FIFO on mean latency;\n"
+               "SRTF beats fair-share on small-job latency. FIFO's makespan\n"
+               "can be the best of the three — it finishes the big job first\n"
+               "— which is exactly the latency/throughput trade.)\n";
+  if (!ordering_ok) {
+    cells.fail("multijob: expected policy ordering did not hold on this "
+               "config/seed set");
+  }
+}
+
+// Extension: steady-state serving under admission control (DESIGN.md §16;
+// not in the paper — MOON studies one job at a time, and its future-work
+// section asks what sustained multi-job service on opportunistic resources
+// looks like).
+//
+// An open-ended Poisson job stream lands on a small opportunistic cluster
+// across load (overload vs sustainable interarrival), unavailability rate,
+// and fault regime. Retired-job GC is on (retain_job_results = false), so
+// every cell runs with O(1) retained memory per finished job. Three
+// admission variants face the same stream:
+//   none    — every arrival is submitted; the backlog (and the retained
+//             job state) grows without bound under overload,
+//   reject  — kRejectNewest refuses arrivals over the live-job cap,
+//   shed    — kShedLowestPriority evicts the newest lowest-priority job
+//             for a higher-priority arrival (the mix alternates priority).
+// Reported per cell: sustainable throughput (completed jobs/hour), p99
+// latency, SLA miss rate, reject/shed counts, peak live jobs, and peak
+// retained bytes. Every cell runs TWICE; the admission sequence hash and
+// the aggregate fingerprint must match bit for bit (determinism contract,
+// §2) or the bench exits non-zero.
+//
+// A second sweep gives every arrival a deadline (urgent small jobs, lax
+// large jobs) and compares kFifo vs kDeadlineEdf on SLA miss rate: EDF
+// must not lose (it serves the soonest deadline first where FIFO serves
+// arrival order).
+//
+// Each cell is one seed, not reps() of them; `--faults=SPEC` layers on every
+// cell, the built-in chaos spec of the faulted cells included.
+void steady(Cells& cells) {
+  const auto steady_job = [](const std::string& name, int priority) {
+    workload::WorkloadModel m;
+    m.name = name;
+    m.kind = workload::AppKind::kSort;
+    m.num_maps = 12;
+    m.fixed_reduces = 3;
+    m.reduce_slot_fraction = 0.0;
+    m.map_compute = sim::seconds(20);
+    m.reduce_compute = sim::seconds(30);
+    m.intermediate_per_map = mib(1.0);
+    m.input_size = static_cast<Bytes>(m.num_maps) * mib(2.0);
+    m.total_output = mib(8.0);
+    m.input_block_bytes = mib(2.0);
+    m.priority = priority;
+    return m;
+  };
+  struct AdmissionVariant {
+    std::string name;
+    bool enabled = false;
+    mapred::AdmissionConfig::Policy policy =
+        mapred::AdmissionConfig::Policy::kRejectNewest;
+  };
+  const auto steady_config = [&](double rate, sim::Duration interarrival,
+                                 const std::string& fault_spec,
+                                 const AdmissionVariant& admission) {
+    experiment::MultiJobConfig cfg;
+    cfg.base.volatile_nodes = 12;
+    cfg.base.dedicated_nodes = 2;
+    cfg.base.dedicated_known = true;
+    cfg.base.sched = experiment::moon_scheduler(true);
+    cfg.base.dfs = experiment::moon_dfs_config();
+    cfg.base.intermediate_kind = dfs::FileKind::kOpportunistic;
+    cfg.base.intermediate_factor = {1, 1};
+    cfg.base.input_factor = {1, 2};
+    cfg.base.output_factor = {1, 2};
+    cfg.base.unavailability_rate = rate;
+    cfg.base.seed = 20100621;
+    cfg.base.max_sim_time = 3 * sim::kHour;
+    cfg.base.sched.admission.enabled = admission.enabled;
+    cfg.base.sched.admission.policy = admission.policy;
+    cfg.base.sched.admission.max_queued_jobs = 4;
+    if (!fault_spec.empty()) {
+      if (!experiment::apply_fault_spec(fault_spec, cfg.base.faults)) {
+        std::exit(2);
+      }
+      cfg.base.faults.audit_interval = 5 * sim::kMinute;
+      cfg.base.faults.outages.mean_interval = 10 * sim::kMinute;
+      cfg.base.faults.outages.mean_outage = 2 * sim::kMinute;
+    }
+
+    // Open-ended Poisson stream to the scenario horizon; priorities alternate
+    // so the shed variant has a victim ladder. O(1)-memory serving mode.
+    cfg.arrivals.process = workload::ArrivalConfig::Process::kPoisson;
+    cfg.arrivals.num_jobs = 0;
+    cfg.arrivals.first_arrival = sim::kMinute;
+    cfg.arrivals.mean_interarrival = interarrival;
+    cfg.arrivals.round_robin_mix = true;
+    // A 30-minute SLA on every job: generous for an admitted job on an idle
+    // cluster, blown once the backlog's queueing delay dominates (and charged
+    // to every rejected/shed arrival — refusing work is also an SLA miss).
+    auto lo = steady_job("steady-lo", 0);
+    auto hi = steady_job("steady-hi", 2);
+    lo.deadline = 30 * sim::kMinute;
+    hi.deadline = 30 * sim::kMinute;
+    cfg.arrivals.mix = {{lo, 1.0}, {hi, 1.0}};
+    cfg.retain_job_results = false;
+    return cfg;
+  };
+
+  const std::vector<double> rates{0.3, 0.5};
+  // The cluster clears ~80 of these small jobs/hour: 15 s interarrivals
+  // (~240/h) are a 3x overload whose backlog grows all run long, 6 min
+  // (~10/h) a comfortable steady state.
+  const std::vector<std::pair<std::string, sim::Duration>> loads{
+      {"overload", 15 * sim::kSecond}, {"sustainable", 6 * sim::kMinute}};
+  const std::vector<std::pair<std::string, std::string>> fault_modes{
+      {"none", ""}, {"chaos", "outages,heartbeats:0.05"}};
+  const std::vector<AdmissionVariant> variants{
+      {"none", false},
+      {"reject", true, mapred::AdmissionConfig::Policy::kRejectNewest},
+      {"shed", true, mapred::AdmissionConfig::Policy::kShedLowestPriority},
+  };
+
+  std::cout << "=== Extension: steady-state serving — admission control on an "
+               "open job stream ===\n"
+            << "(12 volatile + 2 dedicated, MOON-Hybrid, Poisson arrivals to a "
+               "6 h horizon,\n"
+            << " retired-job GC on, cap 4 live jobs, every cell run twice for "
+               "determinism)\n\n";
+
+  const std::string title = "Open stream: load x rate x faults x admission";
+  Table table(title);
+  table.columns({"load", "rate", "faults", "admission", "jobs/h", "p99 (s)",
+                 "SLA miss", "rej", "shed", "peak live", "peak KiB"});
+  bool bounded_ok = true;
+  for (const auto& [load_name, interarrival] : loads) {
+    for (double rate : rates) {
+      for (const auto& [fault_name, fault_spec] : fault_modes) {
+        int baseline_peak_live = 0;
+        for (const AdmissionVariant& variant : variants) {
+          const auto cfg =
+              steady_config(rate, interarrival, fault_spec, variant);
+          const std::string cell = load_name + " rate=" + Table::num(rate, 1) +
+                                   " faults=" + fault_name +
+                                   " admission=" + variant.name;
+          const auto first = cells.stream(cfg);
+          const auto second = cells.stream(cfg);
+          const std::string fp1 = experiment::fingerprint(first);
+          if (fp1 != experiment::fingerprint(second)) {
+            cells.fail("steady: NONDETERMINISTIC " + cell + "\n  run1: " +
+                       fp1 + "\n  run2: " + experiment::fingerprint(second));
+          }
+          if (first.audit_violations != 0) {
+            cells.fail("steady: AUDIT VIOLATIONS " + cell);
+          }
+
+          const double horizon_h =
+              sim::to_seconds(cfg.base.max_sim_time) / 3600.0;
+          const double jobs_per_hour = first.completed_jobs / horizon_h;
+          if (!variant.enabled) {
+            baseline_peak_live = first.peak_live_jobs;
+          } else {
+            // The tentpole claim: admission keeps the backlog at the cap
+            // where the baseline's grows with the overload.
+            if (first.peak_live_jobs >
+                cfg.base.sched.admission.max_queued_jobs) {
+              bounded_ok = false;
+            }
+            if (load_name == "overload" &&
+                first.peak_live_jobs >= baseline_peak_live &&
+                baseline_peak_live >
+                    cfg.base.sched.admission.max_queued_jobs) {
+              bounded_ok = false;
+            }
+          }
+
+          table.add_row(
+              {load_name, Table::num(rate, 1), fault_name, variant.name,
+               Table::num(jobs_per_hour, 1), Table::num(first.p99_latency_s, 0),
+               Table::num(first.sla_miss_rate(), 3),
+               Table::num(std::int64_t{first.rejected_jobs}),
+               Table::num(std::int64_t{first.admission.shed}),
+               Table::num(std::int64_t{first.peak_live_jobs}),
+               Table::num(
+                   static_cast<std::int64_t>(first.peak_retained_bytes / 1024))});
+          cells.record(title, load_name + " " + Table::num(rate, 1) + " " +
+                                  fault_name, variant.name)
+              .field("jobs_per_hour", jobs_per_hour)
+              .field("p99_latency_s", first.p99_latency_s)
+              .field("sla_miss_rate", first.sla_miss_rate())
+              .field("completed_jobs", std::int64_t{first.completed_jobs})
+              .field("rejected_jobs", std::int64_t{first.rejected_jobs})
+              .field("shed_jobs", std::int64_t{first.shed_jobs})
+              .field("dnf_jobs", std::int64_t{first.dnf_jobs})
+              .field("peak_live_jobs", std::int64_t{first.peak_live_jobs})
+              .field("peak_retained_bytes",
+                     static_cast<std::int64_t>(first.peak_retained_bytes))
+              .field("jobs_retired", first.jobs_retired)
+              .field("faults_injected", first.fault_stats.total_injected())
+              .field("sequence_hash",
+                     static_cast<std::int64_t>(first.admission_sequence_hash));
+        }
+      }
+    }
+  }
+  table.print(std::cout);
+
+  // --- Deadline sweep: kFifo vs kDeadlineEdf on SLA miss rate -------------
+  // Urgent small jobs (tight deadline) interleave with lax large jobs; EDF
+  // serves the soonest deadline first where FIFO serves arrival order.
+  std::cout << "\n";
+  const std::string edf_title = "Deadline stream: FIFO vs deadline-EDF";
+  Table edf_table(edf_title);
+  edf_table.columns(
+      {"rate", "policy", "SLA miss", "eligible", "missed", "p99 (s)"});
+  bool edf_ok = true;
+  for (double rate : rates) {
+    double fifo_miss = 0.0;
+    for (auto policy : {mapred::SchedulerConfig::JobPolicy::kFifo,
+                        mapred::SchedulerConfig::JobPolicy::kDeadlineEdf}) {
+      AdmissionVariant reject{"reject", true,
+                              mapred::AdmissionConfig::Policy::kRejectNewest};
+      auto cfg = steady_config(rate, 45 * sim::kSecond, "", reject);
+      cfg.base.sched.job_policy = policy;
+      cfg.base.sched.admission.max_queued_jobs = 8;
+      // Urgent small jobs behind heavy lax ones: FIFO serves arrival order,
+      // so an urgent job queued behind a few 48-map jobs blows its 10 min
+      // deadline; EDF runs it first (the lax deadline is hours away).
+      auto urgent = steady_job("urgent", 0);
+      urgent.num_maps = 6;
+      urgent.fixed_reduces = 2;
+      urgent.deadline = 10 * sim::kMinute;
+      auto lax = steady_job("lax", 0);
+      lax.num_maps = 48;
+      lax.map_compute = sim::seconds(40);
+      lax.input_size = static_cast<Bytes>(lax.num_maps) * mib(2.0);
+      lax.deadline = 4 * sim::kHour;
+      cfg.arrivals.mix = {{urgent, 1.0}, {lax, 1.0}};
+
+      const auto result = cells.stream(cfg);
+      const double miss = result.sla_miss_rate();
+      if (policy == mapred::SchedulerConfig::JobPolicy::kFifo) {
+        fifo_miss = miss;
+      } else if (miss > fifo_miss) {
+        edf_ok = false;
+      }
+      const std::string name = mapred::to_string(policy);
+      edf_table.add_row({Table::num(rate, 1), name, Table::num(miss, 3),
+                         Table::num(std::int64_t{result.sla_eligible_jobs}),
+                         Table::num(std::int64_t{result.sla_missed_jobs}),
+                         Table::num(result.p99_latency_s, 0)});
+      cells.record(edf_title, Table::num(rate, 1), name)
+          .field("sla_miss_rate", miss)
+          .field("sla_eligible_jobs", std::int64_t{result.sla_eligible_jobs})
+          .field("sla_missed_jobs", std::int64_t{result.sla_missed_jobs})
+          .field("p99_latency_s", result.p99_latency_s);
+    }
+  }
+  edf_table.print(std::cout);
+  std::cout << "\n(expected shape: without admission the overload cells' peak\n"
+               "live jobs grow far past the cap while reject/shed hold it at\n"
+               "the cap with bounded retained bytes; deadline-EDF's SLA miss\n"
+               "rate never exceeds FIFO's.)\n";
+  if (!bounded_ok) {
+    cells.fail("steady: admission did not bound the backlog below the "
+               "no-admission baseline");
+  }
+  if (!edf_ok) cells.fail("steady: deadline-EDF missed more SLAs than FIFO");
+}
+
 struct PaperTable {
   const char* name;
   void (*print)(Cells&);
@@ -672,7 +1452,8 @@ constexpr PaperTable kTables[] = {
     {"fig1", fig1},   {"table1", table1},     {"fig4", fig4},
     {"fig5", fig5},   {"fig6", fig6},         {"table2", table2},
     {"fig7", fig7},   {"ablation", ablation}, {"late", late},
-    {"correlated", correlated},
+    {"correlated", correlated}, {"checkpoint", checkpoint}, {"chaos", chaos},
+    {"failover", failover},     {"multijob", multijob},     {"steady", steady},
 };
 
 }  // namespace
@@ -702,11 +1483,16 @@ int main(int argc, char** argv) {
     selected[i]->print(cells);
   }
   std::cout << "\n(" << cells.simulated() << " cells simulated, "
-            << cells.reps() << " repetitions each)\n";
+            << cells.reps() << " repetitions each";
+  if (cells.streams() > 0) std::cout << "; " << cells.streams() << " job streams";
+  std::cout << ")\n";
   if (full_run) {
     const std::string path = cells.write_json();
     if (!path.empty()) std::cout << "(json: " << path << ")\n";
   }
   cells.export_obs();
-  return 0;
+  for (const std::string& failure : cells.failures()) {
+    std::cerr << "FAIL: " << failure << '\n';
+  }
+  return cells.failures().empty() ? 0 : 1;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <ostream>
 
 #include "common/log.hpp"
 #include "simkit/fault_hooks.hpp"
@@ -627,41 +626,6 @@ void Dfs::finish_op(OpId id, bool ok) {
   }
   if (op->done_) op->done_(ok);
   if (op.get() == probing_) probed_closed_ = std::move(op);
-}
-
-void Dfs::debug_dump(std::ostream& os) const {
-  auto& net = cluster_.network();
-  os << "dfs: " << ops_.size() << " ops, " << repairs_.size() << " repairs, "
-     << namenode_.replication_queue_depth() << " queued\n";
-  // Dump in OpId order so two same-seed runs print byte-identical dumps.
-  std::vector<OpId> dump_ids;
-  dump_ids.reserve(ops_.size());
-  for (const auto& [id, op] : ops_) dump_ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before printing
-  std::sort(dump_ids.begin(), dump_ids.end());
-  for (OpId id : dump_ids) {
-    const auto& op = ops_.at(id);
-    if (const auto* r = dynamic_cast<const ReadOp*>(op.get())) {
-      os << "  read op" << id << " block=" << r->block_ << " reader=" << r->reader_
-         << (cluster_.node(r->reader_).available() ? "(up)" : "(down)")
-         << " src=" << r->source_;
-      if (r->source_.valid()) {
-        os << (cluster_.node(r->source_).available() ? "(up)" : "(down)");
-      }
-      os << " tried=" << r->tried_.size();
-      if (r->flow_.valid()) {
-        os << " rate=" << net.rate(r->flow_) << " left=" << net.remaining(r->flow_);
-      } else {
-        os << " NOFLOW";
-      }
-      os << '\n';
-    } else if (const auto* w = dynamic_cast<const WriteOp*>(op.get())) {
-      os << "  write op" << id << " file=" << w->file_ << " writer=" << w->writer_
-         << (cluster_.node(w->writer_).available() ? "(up)" : "(down)")
-         << " block " << w->current_ << "/" << w->blocks_.size() << " inflight="
-         << w->inflight_.size() << " committed=" << w->committed_
-         << " retries=" << w->retries_ << '\n';
-    }
-  }
 }
 
 void Dfs::probe_ops() {

@@ -104,10 +104,6 @@ class Dfs {
     return partial_inflight_;
   }
 
-  /// Writes one line per in-flight client op (kind, block, endpoints, flow
-  /// rate, remaining bytes) — debugging aid for stuck transfers.
-  void debug_dump(std::ostream& os) const;
-
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iostream>
 #include <optional>
 #include <unordered_map>
 
@@ -243,10 +242,7 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
         if (sim.now() > m.deadline_at) ++result.sla_missed_jobs;
       }
       last_end = std::max(last_end, sim.now());
-      if (config.retain_job_results) {
-        if (base.dump_unfinished) job.debug_dump(std::cerr);
-        build_outcome(job, i, latency_s);
-      }
+      if (config.retain_job_results) build_outcome(job, i, latency_s);
     } else if (!rejected[i] && arrivals[i].submit_at < base.max_sim_time) {
       // Fired but still parked in the defer queue at the horizon: the
       // arrival never got in — count it with the rejections.

@@ -32,7 +32,6 @@ mapred::SchedulerConfig hadoop_scheduler(sim::Duration tracker_expiry) {
   mapred::SchedulerConfig cfg;
   cfg.tracker_expiry = tracker_expiry;
   cfg.suspension_interval = 0;  // Hadoop has no suspension concept
-  cfg.moon_scheduling = false;
   cfg.hybrid_aware = false;
   return cfg;
 }
@@ -43,7 +42,8 @@ mapred::SchedulerConfig moon_scheduler(bool hybrid) {
   // TrackerExpiryInterval."
   cfg.tracker_expiry = 30 * sim::kMinute;
   cfg.suspension_interval = 1 * sim::kMinute;
-  cfg.moon_scheduling = true;
+  cfg.speculator = mapred::SchedulerConfig::Speculator::kMoon;
+  cfg.dfs_aware_recovery = true;
   cfg.hybrid_aware = hybrid;
   return cfg;
 }
@@ -69,9 +69,7 @@ mapred::SchedulerConfig late_moon_scheduler() {
   cfg.suspension_interval = 1 * sim::kMinute;
   // LATE picks the backups; MOON semantics (suspension without killing,
   // DFS-aware tracker-death handling) come from the intervals and the
-  // recovery flag. moon_scheduling stays off so the speculator choice is
-  // honoured.
-  cfg.moon_scheduling = false;
+  // recovery flag.
   cfg.dfs_aware_recovery = true;
   cfg.speculator = mapred::SchedulerConfig::Speculator::kLate;
   return cfg;

@@ -75,8 +75,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   sim::Duration submit_at = 60 * sim::kSecond;
   sim::Duration max_sim_time = 24 * sim::kHour;
-  /// Dump unfinished-task state to stderr when the horizon is hit.
-  bool dump_unfinished = false;
 
   // --- observability (off by default; zero-perturbation when on) ---
   obs::ObsConfig obs;

@@ -743,8 +743,7 @@ void Job::handle_tracker_death(TaskTracker& tracker) {
   // re-executed — their output is presumed local to the lost node. MOON
   // instead asks the DFS whether live replicas of the output remain and
   // re-runs only when they do not.
-  const bool dfs_aware = jobtracker_.config().moon_scheduling ||
-                         jobtracker_.config().dfs_aware_recovery;
+  const bool dfs_aware = jobtracker_.config().dfs_aware_recovery;
   auto& nn = jobtracker_.dfs().namenode();
   for (TaskId id : map_tasks_) {
     Task& t = tasks_.at(id);

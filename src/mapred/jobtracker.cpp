@@ -23,10 +23,7 @@ JobTracker::JobTracker(sim::Simulation& sim, cluster::Cluster& cluster,
       liveness_task_(sim, config.liveness_scan_interval, [this] { liveness_scan(); }),
       completion_task_(sim, config.completion_scan_interval,
                        [this] { completion_scan(); }) {
-  // moon_scheduling implies the MOON speculator; otherwise the explicit
-  // choice (Hadoop's progress-gap policy or LATE) applies.
-  if (config_.moon_scheduling ||
-      config_.speculator == SchedulerConfig::Speculator::kMoon) {
+  if (config_.speculator == SchedulerConfig::Speculator::kMoon) {
     speculator_ = std::make_unique<MoonSpeculator>(*this);
   } else if (config_.speculator == SchedulerConfig::Speculator::kLate) {
     speculator_ = std::make_unique<LateSpeculator>(*this);

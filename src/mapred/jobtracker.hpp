@@ -133,13 +133,6 @@ class JobTracker {
   [[nodiscard]] int available_execution_slots() const;
   [[nodiscard]] int total_slots(TaskType type) const;
 
-  /// Wall-clock nanoseconds spent making heartbeat assignment decisions
-  /// (pending picks + speculation) — the measured "scheduling time" axis of
-  /// the paper's Figure 4. Purely observational; never feeds the sim. The
-  /// profiler's kHeartbeat counter is the single source of truth.
-  [[nodiscard]] std::uint64_t scheduling_wall_ns() const {
-    return sim_.profiler().counter(sim::Profiler::Key::kHeartbeat).ns;
-  }
   [[nodiscard]] std::uint64_t heartbeats_served() const { return heartbeats_; }
 
   // ---- quarantine introspection -------------------------------------------

@@ -132,8 +132,7 @@ struct SchedulerConfig {
   /// 0 disables suspension detection (plain Hadoop).
   sim::Duration suspension_interval = 0;
 
-  bool moon_scheduling = false;  ///< frozen/slow lists + two-phase replication
-  bool hybrid_aware = false;     ///< dedicated-node-aware placement (§V-C)
+  bool hybrid_aware = false;  ///< dedicated-node-aware placement (§V-C)
 
   /// On tracker death, consult the DFS before re-executing completed maps
   /// (MOON); stock Hadoop re-runs them unconditionally.
@@ -149,8 +148,9 @@ struct SchedulerConfig {
   IndexMode index_mode = IndexMode::kIndexed;
 
   /// Which speculative-execution policy drives backup copies. kMoon is
-  /// implied by moon_scheduling; kLate implements Zaharia et al.'s LATE
-  /// (OSDI'08), the alternative the paper's related work discusses.
+  /// MOON's frozen/slow lists with two-phase backups; kLate implements
+  /// Zaharia et al.'s LATE (OSDI'08), the alternative the paper's related
+  /// work discusses.
   enum class Speculator { kHadoop, kMoon, kLate };
   Speculator speculator = Speculator::kHadoop;
 

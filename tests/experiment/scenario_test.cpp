@@ -103,12 +103,14 @@ TEST(Scenario, PolicyPresetsMatchPaperParameters) {
   const auto hadoop = hadoop_scheduler(5 * sim::kMinute);
   EXPECT_EQ(hadoop.tracker_expiry, 5 * sim::kMinute);
   EXPECT_EQ(hadoop.suspension_interval, 0);
-  EXPECT_FALSE(hadoop.moon_scheduling);
+  EXPECT_EQ(hadoop.speculator, mapred::SchedulerConfig::Speculator::kHadoop);
+  EXPECT_FALSE(hadoop.dfs_aware_recovery);
 
   const auto moon = moon_scheduler(false);
   EXPECT_EQ(moon.tracker_expiry, 30 * sim::kMinute);   // §VI-A
   EXPECT_EQ(moon.suspension_interval, 1 * sim::kMinute);
-  EXPECT_TRUE(moon.moon_scheduling);
+  EXPECT_EQ(moon.speculator, mapred::SchedulerConfig::Speculator::kMoon);
+  EXPECT_TRUE(moon.dfs_aware_recovery);
   EXPECT_FALSE(moon.hybrid_aware);
   EXPECT_TRUE(moon_scheduler(true).hybrid_aware);
   EXPECT_DOUBLE_EQ(moon.speculative_slot_fraction, 0.2);  // 20 % cap

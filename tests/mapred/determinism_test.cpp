@@ -49,7 +49,6 @@ Outcome run_with_registration(const std::vector<std::size_t>& order) {
   SchedulerConfig sched;
   sched.tracker_expiry = 60 * sim::kSecond;
   sched.suspension_interval = 0;
-  sched.moon_scheduling = false;
   JobTracker jobtracker(sim, cluster, dfs, sched, 11);
   for (std::size_t i : order) jobtracker.add_tracker(nodes[i]);
   jobtracker.start();

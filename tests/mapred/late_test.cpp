@@ -14,7 +14,6 @@ SchedulerConfig late_sched(sim::Duration expiry = 60 * sim::kSecond) {
   SchedulerConfig cfg;
   cfg.tracker_expiry = expiry;
   cfg.suspension_interval = 0;
-  cfg.moon_scheduling = false;
   cfg.speculator = SchedulerConfig::Speculator::kLate;
   return cfg;
 }
@@ -106,7 +105,7 @@ TEST(LateSpeculation, CapLimitsBackups) {
 
 TEST(LateSpeculation, PresetWiringSelectsLate) {
   // The scheduler enum reaches the JobTracker: a LATE-config job with a
-  // stalled task speculates even though moon_scheduling is off.
+  // stalled task speculates.
   FixtureOptions opt;
   opt.sched = late_sched(30 * sim::kMinute);
   opt.map_compute = 5 * sim::kMinute;

@@ -162,7 +162,6 @@ inline SchedulerConfig hadoop_sched(sim::Duration expiry = 60 * sim::kSecond) {
   SchedulerConfig cfg;
   cfg.tracker_expiry = expiry;
   cfg.suspension_interval = 0;
-  cfg.moon_scheduling = false;
   return cfg;
 }
 
@@ -170,7 +169,8 @@ inline SchedulerConfig moon_sched(bool hybrid = false) {
   SchedulerConfig cfg;
   cfg.tracker_expiry = 30 * sim::kMinute;
   cfg.suspension_interval = 30 * sim::kSecond;
-  cfg.moon_scheduling = true;
+  cfg.speculator = SchedulerConfig::Speculator::kMoon;
+  cfg.dfs_aware_recovery = true;
   cfg.hybrid_aware = hybrid;
   return cfg;
 }
