@@ -60,7 +60,6 @@ class Node {
   /// whose trace went down during a fault outage stays down when the outage
   /// lifts. Idempotent.
   void set_fault_down(bool down);
-  [[nodiscard]] bool fault_down() const { return fault_down_; }
 
   /// Straggler degradation: scales NIC/disk capacities by `factor` (1.0 =
   /// nominal) from now on, including across availability transitions.

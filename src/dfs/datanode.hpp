@@ -57,9 +57,6 @@ class DataNode {
   /// and from beat() when this node notices the epoch moved under it.
   void send_block_report();
 
-  /// Epoch this node last registered under (tests/recovery sweep).
-  [[nodiscard]] int registered_epoch() const { return registered_epoch_; }
-
  private:
   void beat();
   [[nodiscard]] double current_bandwidth();

@@ -28,8 +28,9 @@ struct Dfs::Op {
   Done done_;
   obs::Tracer::SpanId span_;  ///< open trace span (invalid when tracing off)
   Bytes charge_ = 0;          ///< partial-read bytes counted in-flight
-  /// Finished or cancelled. A probe that calls into the network can see its
-  /// own op close under it (a settle fires the last transfer's completion);
+  /// Finished or cancelled. A probe that changes the network (an abort, a
+  /// batch close) can see its own op close under it: the settle that churn
+  /// may run fires completions, which can finish or cancel this op.
   /// Dfs::probe_op keeps the op alive until the probe returns, and the probe
   /// must stop as soon as this is set.
   bool closed_ = false;
@@ -181,19 +182,11 @@ struct Dfs::WriteOp final : Dfs::Op {
     }
     if (current_ >= blocks_.size()) return;
     auto& net = dfs_.cluster_.network();
-    // Drop transfers that are stalled on an unavailable target. rate() may
-    // settle the network and fire replica completions (removing entries, or
-    // closing the block and the op), so walk a snapshot.
-    std::vector<FlowId> flows;
-    flows.reserve(inflight_.size());
-    for (const auto& [flow, target] : inflight_) flows.push_back(flow);
+    // Drop transfers that are stalled on an unavailable target. The stall
+    // query never settles, so no completion can fire during this walk.
     std::vector<FlowId> stalled;
-    for (FlowId flow : flows) {
-      const bool idle = net.rate(flow) == 0.0;
-      if (closed_) return;
-      const auto it = inflight_.find(flow);
-      if (it != inflight_.end() && idle &&
-          !dfs_.cluster_.node(it->second).available()) {
+    for (const auto& [flow, target] : inflight_) {
+      if (net.stalled(flow) && !dfs_.cluster_.node(target).available()) {
         stalled.push_back(flow);
       }
     }
@@ -353,19 +346,17 @@ struct Dfs::ReadOp final : Dfs::Op {
     if (!flow_.valid()) return;
     if (!dfs_.cluster_.node(reader_).available()) return;  // reader suspended
     auto& net = dfs_.cluster_.network();
-    const FlowId flow = flow_;
-    if (net.rate(flow) > 0.0) return;
-    // rate() may settle the network and complete this very transfer, which
-    // finishes the op or retries from another replica.
-    if (closed_ || flow_ != flow) return;
+    if (!net.stalled(flow_)) return;
     if (!dfs_.namenode_.available()) {
       // Stalled while the master is down: keep waiting. Re-picking a source
       // needs the (wiped) replica map; recovery restores it first.
       ++dfs_.namenode_.stats_mutable().master_retries;
       return;
     }
-    // Stalled: abandon this replica and try the next one.
+    // Stalled: abandon this replica and try the next one. The abort can
+    // settle, and a completion it fires can cancel this op.
     net.abort_flow(flow_);
+    if (closed_) return;
     flow_ = FlowId::invalid();
     tried_.push_back(source_);
     attempt();
@@ -660,7 +651,7 @@ void Dfs::replication_scan() {
   std::vector<FlowId> stalled;
   // detlint: allow(unordered-iter) -- read-only stall scan into a snapshot that is sorted below before any abort
   for (const auto& [flow, repair] : repairs_) {
-    if (net.rate(flow) == 0.0) stalled.push_back(flow);
+    if (net.stalled(flow)) stalled.push_back(flow);
   }
   // Recycle in flow-start order: each abort re-enqueues the block, and the
   // queue position decides the retry order, so the hash order of repairs_

@@ -131,7 +131,7 @@ Environment::Environment(const ScenarioConfig& config)
     }
     if (auto* metrics = obs->metrics()) {
       // Gauges only *read* state (§12 zero-perturbation contract): plain
-      // counters and index sizes, never settle-on-read APIs.
+      // counters and index sizes.
       auto* jt = jobtracker.get();
       auto* fs = dfs.get();
       auto* cl = &cluster;

@@ -107,10 +107,6 @@ class FaultInjector : public sim::FaultHooks {
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
-  /// Lab/rack groups subject to power cycles (tests).
-  [[nodiscard]] const std::vector<std::vector<NodeId>>& outage_groups() const {
-    return groups_;
-  }
   [[nodiscard]] const std::vector<NodeId>& stragglers() const {
     return stragglers_;
   }

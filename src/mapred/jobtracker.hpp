@@ -53,7 +53,6 @@ class JobTracker {
   JobId submit(JobSpec spec);
   [[nodiscard]] Job& job(JobId id);
   [[nodiscard]] const Job& job(JobId id) const;
-  [[nodiscard]] bool has_job(JobId id) const { return jobs_.contains(id); }
 
   // ---- steady-state serving (DESIGN.md §16) -------------------------------
   /// Admission gate; null unless config().admission.enabled. Callers that
@@ -110,7 +109,6 @@ class JobTracker {
   /// TaskTracker-side bookkeeping hooks (master down).
   void note_heartbeat_missed() { ++heartbeats_missed_; }
   void note_report_parked() { ++reports_parked_; }
-  void note_report_replayed() { ++reports_replayed_; }
 
   /// Fires when a job completes or fails.
   void on_job_finished(std::function<void(Job&)> callback);

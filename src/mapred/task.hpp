@@ -135,7 +135,6 @@ class TaskAttempt {
 
   /// Maps whose partitions this (reduce) attempt has not yet fetched.
   [[nodiscard]] std::vector<TaskId> unfetched_maps() const;
-  [[nodiscard]] std::size_t fetched_count() const { return fetched_.size(); }
   [[nodiscard]] std::size_t fetching_count() const { return fetching_.size(); }
   [[nodiscard]] std::size_t retry_wait_count() const { return retry_wait_.size(); }
 

@@ -79,15 +79,4 @@ void EventLog::write_jsonl(std::ostream& out) const {
   }
 }
 
-void EventLog::write_text(std::ostream& out) const {
-  for (std::size_t i = 0; i < size_; ++i) {
-    const LogRecord& rec = at(i);
-    out << '[' << sim::to_seconds(rec.time) << "] "
-        << log::level_name(rec.level) << ' ' << rec.component << ": "
-        << rec.message;
-    for (const auto& f : rec.fields) out << ' ' << f.key << '=' << f.value;
-    out << '\n';
-  }
-}
-
 }  // namespace moon::obs

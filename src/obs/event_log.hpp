@@ -41,8 +41,6 @@ class EventLog {
   /// One JSON object per line: {"t":…,"level":…,"component":…,"msg":…,
   /// "fields":{…}}.
   void write_jsonl(std::ostream& out) const;
-  /// Human-readable `[time] LEVEL component: message k=v…` lines.
-  void write_text(std::ostream& out) const;
 
  private:
   std::vector<LogRecord> ring_;

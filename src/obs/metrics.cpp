@@ -99,13 +99,6 @@ const TimeSeries* MetricsRegistry::series(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& gauge : gauges_) names.push_back(gauge.name);
-  return names;
-}
-
 void MetricsRegistry::write_csv(std::ostream& out) const {
   out << "time_s";
   for (const auto& gauge : gauges_) out << ',' << gauge.name;

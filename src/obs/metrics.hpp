@@ -110,7 +110,6 @@ class MetricsRegistry {
   void sample(sim::Time now);
 
   [[nodiscard]] const TimeSeries* series(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> gauge_names() const;
   [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }
   [[nodiscard]] std::uint64_t sample_count() const { return samples_; }
 

@@ -18,7 +18,7 @@
 // everything here only *reads* simulation state. The sampler adds events to
 // the queue, but they draw no randomness and mutate nothing, and event
 // ordering among the simulation's own events is unaffected (FIFO seq values
-// stay strictly increasing). Gauges must never call settle-on-read APIs.
+// stay strictly increasing). Gauges must be pure reads.
 #pragma once
 
 #include <memory>

@@ -136,10 +136,12 @@ const FlowNetwork::Flow* FlowNetwork::find_flow(FlowId id) const {
 
 bool FlowNetwork::active(FlowId id) const { return slot_of_.contains(id); }
 
+bool FlowNetwork::stalled(FlowId id) const {
+  const Flow* f = find_flow(id);
+  return f != nullptr && f->down_links > 0;
+}
+
 Bytes FlowNetwork::remaining(FlowId id) const {
-  // Deferred dirty work must become observable before the query (lazy
-  // evaluation; logically const, hence the cast).
-  const_cast<FlowNetwork*>(this)->settle_for_read();
   const Flow* f = find_flow(id);
   if (f == nullptr) return 0;
   // Account for progress since the last settle without mutating state.
@@ -149,7 +151,6 @@ Bytes FlowNetwork::remaining(FlowId id) const {
 }
 
 double FlowNetwork::rate(FlowId id) const {
-  const_cast<FlowNetwork*>(this)->settle_for_read();
   const Flow* f = find_flow(id);
   return f == nullptr ? 0.0 : f->rate;
 }

@@ -28,11 +28,14 @@
 // Settles themselves are timestamp-coalesced (see DESIGN.md §11): under
 // `CoalesceMode::kCoalesced` (default) churn only queues dirty work and the
 // recompute runs once per virtual timestamp via an end-of-timestamp flush
-// hook registered with the Simulation. Observable reads (`rate()`,
-// `remaining()`) force a settle-on-read, and a completion due at the
-// current instant forces a full settle before any further churn applies, so
+// hook registered with the Simulation. A completion due at the current
+// instant forces a full settle before any further churn applies, so
 // coalesced and eager (`CoalesceMode::kEager`, one settle per churn call)
-// execution produce bit-identical simulated outcomes.
+// execution produce bit-identical simulated outcomes. Reads never settle:
+// `rate()` and `remaining()` report the allocation as of the last settle
+// (exact at every timestamp boundary, and always under kEager), while
+// `stalled()` is exact at any point because it reads only the flow's
+// zero-capacity crossings, which churn keeps current.
 #pragma once
 
 #include <cstddef>
@@ -78,8 +81,8 @@ enum class SolverMode {
 /// virtual timestamp.
 enum class CoalesceMode {
   /// Churn queues dirty work; the recompute runs once per virtual timestamp
-  /// via the Simulation's end-of-timestamp flush hook. Observable reads and
-  /// due completions force an early settle. The shipping configuration.
+  /// via the Simulation's end-of-timestamp flush hook. A completion due
+  /// now forces an early settle. The shipping configuration.
   kCoalesced,
   /// Settle after every churn call — the pre-coalescing cost profile,
   /// retained as the equivalence oracle and the benchmark baseline.
@@ -105,18 +108,14 @@ class FlowNetwork {
   /// mutations accrue progress and queue dirty work but defer the rate
   /// recompute; the outermost batch's close runs one settle for the whole
   /// group. `Node::set_available` uses this to apply its three capacity
-  /// changes in a single settle. Nestable. While a batch is open, `rate()`
-  /// returns pre-batch rates. A batch groups same-instant churn only: do
-  /// not run the simulation while one is open (completions would be
-  /// deferred past their true timestamps; asserted in debug builds).
+  /// changes in a single settle. Nestable. Opening a batch does not settle,
+  /// so inside one `rate()` reads the last settled allocation. A batch
+  /// groups same-instant churn only: do not run the simulation while one is
+  /// open (completions would be deferred past their true timestamps;
+  /// asserted in debug builds).
   class CapacityBatch {
    public:
-    explicit CapacityBatch(FlowNetwork& net) : net_(net) {
-      // Settle coalesced churn from before the batch so "pre-batch rates"
-      // means the settled pre-batch allocation (no-op under kEager).
-      if (net_.batch_depth_ == 0) net_.settle_for_read();
-      ++net_.batch_depth_;
-    }
+    explicit CapacityBatch(FlowNetwork& net) : net_(net) { ++net_.batch_depth_; }
     ~CapacityBatch() { close(); }
     CapacityBatch(const CapacityBatch&) = delete;
     CapacityBatch& operator=(const CapacityBatch&) = delete;
@@ -152,8 +151,15 @@ class FlowNetwork {
   void abort_flow(FlowId id);
 
   [[nodiscard]] bool active(FlowId id) const;
+  /// Whether the flow crosses a zero-capacity resource, i.e. moves no bytes
+  /// until a capacity change. Exact at any point, with no settle: it is the
+  /// same test as `rate(id) == 0.0` after a settle. False for unknown ids.
+  [[nodiscard]] bool stalled(FlowId id) const;
+  /// Remaining bytes and rate (bytes/second) as of the last settle. Under
+  /// kCoalesced, churn earlier in the current timestamp is not reflected
+  /// until the end-of-timestamp flush.
   [[nodiscard]] Bytes remaining(FlowId id) const;
-  [[nodiscard]] double rate(FlowId id) const;  ///< bytes/second right now
+  [[nodiscard]] double rate(FlowId id) const;
   [[nodiscard]] std::size_t active_flows() const { return active_count_; }
 
   /// Deterministic work counter: flows the allocator re-rated by solving,
@@ -245,12 +251,6 @@ class FlowNetwork {
   void maybe_settle();
   /// End-of-timestamp flush (runs via the Simulation hook).
   void flush();
-  /// Settle-on-read: makes deferred dirty work observable before a rate or
-  /// remaining-bytes query. No-op mid-settle, inside a batch, or when clean
-  /// (in particular: always a no-op under kEager).
-  void settle_for_read() {
-    if (!settling_ && batch_depth_ == 0 && has_dirty()) settle();
-  }
   void advance_progress();
   std::uint32_t next_due(Time now);  // kNoSlot when nothing is due
   void retire(std::uint32_t slot);

@@ -286,6 +286,42 @@ TEST_F(DfsOpsTest, StallProbeStopsWhenItsWriteFinishesUnderIt) {
   EXPECT_EQ(dfs_->active_ops(), 0u);
 }
 
+// Regression: the stall probe aborts a read stalled on a down source, and
+// that churn settles the network because another flow is due at the same
+// instant; its completion cancels the read. The probe must stop there
+// instead of retrying the cancelled read from the second replica.
+TEST_F(DfsOpsTest, StallProbeStopsWhenItsReadIsCancelledUnderIt) {
+  DfsConfig config;
+  config.client_probe_interval = sim::kSecond;
+  build(config, /*volatiles=*/3, /*dedicated=*/0);
+  const FileId f = dfs_->stage_file("x", FileKind::kOpportunistic, {0, 2},
+                                    mib(64.0));
+  const BlockId b = nn().file(f).blocks[0];
+  NodeId reader = NodeId::invalid();
+  for (NodeId n : volatile_ids_) {
+    if (!nn().block(b).has_replica_on(n)) reader = n;
+  }
+  ASSERT_TRUE(reader.valid());
+  bool called = false;
+  const OpId op = dfs_->read_block(b, reader, [&](bool) { called = true; });
+  // The read streams from the lower-id holder at 50 MiB/s (its disk) and
+  // stalls when that holder drops at 0.5 s. The blocker moves 1 MiB at
+  // 2 MiB/s from 0.5 s, so it is due at exactly 1 s, when the probe
+  // (scheduled earlier) runs first.
+  auto& net = cluster_->network();
+  const auto lane = net.add_resource(mibps(2.0));
+  sim_.schedule_at(500 * sim::kMillisecond, [&] {
+    cluster_->node(nn().read_order(b, reader).front()).set_available(false);
+    net.start_flow({lane}, mib(1.0), [&](FlowId) { dfs_->cancel_op(op); });
+  });
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(dfs_->active_ops(), 0u);
+  ASSERT_EQ(net.active_flows(), 0u);
+  advance(sim::kMinute);
+  EXPECT_FALSE(called);
+  EXPECT_EQ(dfs_->stats().bytes_read, 0);
+}
+
 TEST_F(DfsOpsTest, UnderReplicatedBlockIsRepairedInBackground) {
   build();
   const FileId f = dfs_->stage_file("x", FileKind::kOpportunistic, {0, 3},

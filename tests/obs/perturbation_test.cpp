@@ -3,8 +3,8 @@
 // outcome, to the same run with observability off. The sampler adds events
 // to the queue but draws no randomness and mutates nothing; gauges only
 // read; span/instant recording never feeds back. If any of that ever breaks
-// — a gauge calling a settle-on-read API, the sampler disturbing FIFO
-// ordering, instrumentation forking an RNG — this test catches it.
+// — a gauge mutating state, the sampler disturbing FIFO ordering,
+// instrumentation forking an RNG — this test catches it.
 #include <gtest/gtest.h>
 
 #include <cstdint>

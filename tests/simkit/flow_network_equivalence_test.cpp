@@ -5,7 +5,9 @@
 // models, under seeded random churn of flow starts, aborts, capacity
 // changes, and batched node-style availability flips. The script includes
 // zero-delta steps, so same-timestamp churn bursts (the case coalescing
-// exists for) are exercised, as are reads interleaved into a burst.
+// exists for) are exercised, as are flushes interleaved into a burst. At
+// every sample, each arm also checks that the settle-free stall query
+// agrees with the settled allocation: `stalled(f) == (rate(f) == 0.0)`.
 //
 // The driver pre-generates one scripted churn sequence (pure data), then
 // replays it against four independent Simulation+FlowNetwork stacks
@@ -129,6 +131,7 @@ struct Replay {
   int stalled_starts = 0;                       // flows started onto a down resource
   std::vector<std::pair<FlowId, Time>> completions;
   std::vector<double> samples;                  // rates + remaining at kSample
+  int stall_query_mismatches = 0;               // stalled(f) != (rate(f) == 0)
   int chained = 0;
 
   // A node's resources at full capacity: nic_in, nic_out, disk.
@@ -208,6 +211,12 @@ struct Replay {
     if (stalled(id)) ++stalled_starts;
   }
 
+  /// Records a settled rate and checks the stall query against it.
+  void sample_rate(FlowId f) {
+    samples.push_back(net.rate(f));
+    if (net.stalled(f) != (net.rate(f) == 0.0)) ++stall_query_mismatches;
+  }
+
   void abort(FlowId victim) {
     net.abort_flow(victim);
     std::erase(live, victim);
@@ -262,18 +271,21 @@ struct Replay {
         break;
       }
       case Kind::kCapacityBounce: {
-        // Unbatched, so eager arms settle at every step; a read may force a
-        // coalesced arm to settle mid-bounce.
+        // Unbatched, so eager arms settle at every step; a mid-bounce flush
+        // settles a coalesced arm before the sample reads a rate.
         const auto r = act.a % resources.size();
         set_capacity(r, 0.0);
         set_capacity(r, kUpCaps[r % 3] * static_cast<double>(1 + act.b % 3) / 3.0);
-        if (act.c % 2 == 0 && !live.empty()) samples.push_back(net.rate(live[act.c % live.size()]));
+        if (act.c % 2 == 0 && !live.empty()) {
+          sim.run_until(sim.now());
+          sample_rate(live[act.c % live.size()]);
+        }
         set_capacity(r, 0.0);
         break;
       }
       case Kind::kSample:
         for (const FlowId f : live) {
-          samples.push_back(net.rate(f));
+          sample_rate(f);
           samples.push_back(static_cast<double>(net.remaining(f)));
         }
         break;
@@ -306,6 +318,9 @@ void expect_modes_match(FairnessModel model, const std::vector<Action>& script,
   // Drain: let every still-live unstalled flow finish.
   for (auto& replay : replays) replay->sim.run();
 
+  for (std::size_t v = 0; v < replays.size(); ++v) {
+    EXPECT_EQ(replays[v]->stall_query_mismatches, 0) << labels[v];
+  }
   const Replay& ref = *replays.front();
   if (stalled_starts != nullptr) *stalled_starts = ref.stalled_starts;
   EXPECT_GT(ref.completions.size(), 50u);  // meaningful churn ran

@@ -20,6 +20,10 @@ class FlowModelTest
     : public ::testing::TestWithParam<
           std::tuple<FairnessModel, SolverMode, CoalesceMode>> {
  protected:
+  /// Runs the end-of-timestamp flush: rates read mid-timestamp under
+  /// kCoalesced are the allocation as of the last settle.
+  void flush() { sim_.run_until(sim_.now()); }
+
   Simulation sim_;
   FlowNetwork net_{sim_, std::get<0>(GetParam()), std::get<1>(GetParam()),
                    std::get<2>(GetParam())};
@@ -180,11 +184,13 @@ TEST_P(FlowModelTest, StalledFlowsDoNotPinLoadCounts) {
   const FlowId live = net_.start_flow({r}, 1'000'000, [](FlowId) {});
   net_.set_capacity(down1, 0.0);
   net_.set_capacity(down2, 0.0);
+  flush();
   EXPECT_EQ(net_.rate(stalled1), 0.0);
   EXPECT_EQ(net_.rate(stalled2), 0.0);
   EXPECT_NEAR(net_.rate(live), 100.0, 0.01);
   // Reviving one endpoint re-admits exactly that flow to the shared count.
   net_.set_capacity(down1, 100.0);
+  flush();
   EXPECT_NEAR(net_.rate(stalled1), 50.0, 0.01);
   EXPECT_NEAR(net_.rate(live), 50.0, 0.01);
   EXPECT_EQ(net_.rate(stalled2), 0.0);
@@ -231,23 +237,28 @@ TEST_P(FlowModelTest, CapacityBatchAppliesChurnInOneSettle) {
   const auto a = net_.add_resource(100.0);
   const auto b = net_.add_resource(100.0);
   const FlowId f = net_.start_flow({a, b}, 100000, [](FlowId) {});
+  flush();
   {
     FlowNetwork::CapacityBatch batch(net_);
     net_.set_capacity(a, 0.0);
     net_.set_capacity(b, 40.0);
-    // While the batch is open rates are the pre-batch allocation.
+    // While the batch is open rates are the last settled (pre-batch)
+    // allocation.
     EXPECT_NEAR(net_.rate(f), 100.0, 0.01);
-    batch.close();  // explicit close settles; the destructor becomes a no-op
+    batch.close();  // explicit close; the destructor becomes a no-op
+    flush();
     EXPECT_EQ(net_.rate(f), 0.0);
   }
   EXPECT_EQ(net_.rate(f), 0.0);  // a is down
   net_.set_capacity(a, 80.0);
+  flush();
   EXPECT_NEAR(net_.rate(f), 40.0, 0.01);
 }
 
 TEST_P(FlowModelTest, NestedCapacityBatchesSettleOnce) {
   const auto a = net_.add_resource(100.0);
   const FlowId f = net_.start_flow({a}, 100000, [](FlowId) {});
+  flush();
   {
     FlowNetwork::CapacityBatch outer(net_);
     net_.set_capacity(a, 10.0);
@@ -258,6 +269,7 @@ TEST_P(FlowModelTest, NestedCapacityBatchesSettleOnce) {
     // The inner batch close must not settle while the outer one is open.
     EXPECT_NEAR(net_.rate(f), 100.0, 0.01);
   }
+  flush();
   EXPECT_NEAR(net_.rate(f), 20.0, 0.01);
 }
 
@@ -306,6 +318,7 @@ TEST(FlowMaxMin, ResidualCapacityIsRedistributed) {
   const auto wide = net.add_resource(100.0);
   const FlowId a = net.start_flow({narrow, wide}, 1000000, [](FlowId) {});
   const FlowId b = net.start_flow({wide}, 1000000, [](FlowId) {});
+  sim.run_until(sim.now());
   EXPECT_NEAR(net.rate(a), 10.0, 0.01);
   EXPECT_NEAR(net.rate(b), 90.0, 0.01);
 }
@@ -317,6 +330,7 @@ TEST(FlowBottleneckShare, ApproximationIsConservative) {
   const auto wide = net.add_resource(100.0);
   const FlowId a = net.start_flow({narrow, wide}, 1000000, [](FlowId) {});
   const FlowId b = net.start_flow({wide}, 1000000, [](FlowId) {});
+  sim.run_until(sim.now());
   // A is bottlenecked at 10; B gets wide/2 = 50 (no residual redistribution),
   // so the approximation never over-subscribes: 10 + 50 <= 100.
   EXPECT_NEAR(net.rate(a), 10.0, 0.01);
