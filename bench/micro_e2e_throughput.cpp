@@ -21,9 +21,11 @@
 // completion time and heartbeats for both, DFS byte counters for eager,
 // executed events for scan; the binary exits non-zero on any divergence),
 // so the wall-clock gaps are pure simulator cost. Each arm reports the
-// sim::Profiler breakdown — scheduling ms is its kHeartbeat key — and
-// `solved_flows`, the flows the flow solver re-solved
-// (FlowNetwork::solved_flows). Emits BENCH_e2e.json. MOON_BENCH_REPS
+// sim::Profiler breakdown — scheduling ms is its kHeartbeat key — and two
+// exact flow-network work counters: `solved_flows`, the flows the solver
+// re-solved (FlowNetwork::solved_flows), and `accrued_flows`, the flows
+// progress accrual visited (FlowNetwork::accrued_flows). Emits
+// BENCH_e2e.json. MOON_BENCH_REPS
 // controls repetitions (best-of); MOON_E2E_NODES ("64,256") trims the sweep
 // for smoke runs.
 #include <chrono>
@@ -84,6 +86,7 @@ struct ArmResult {
   std::int64_t bytes_written = 0;
   std::int64_t replication_bytes = 0;
   std::uint64_t solved_flows = 0;
+  std::uint64_t accrued_flows = 0;
   sim::Profiler::Snapshot profile{};
 
   [[nodiscard]] const sim::Profiler::Counter& key(sim::Profiler::Key k) const {
@@ -163,6 +166,7 @@ ArmResult run_arm(int nodes, mapred::SchedulerConfig sched,
   r.bytes_written = dfs.stats().bytes_written;
   r.replication_bytes = dfs.stats().replication_bytes;
   r.solved_flows = cluster.network().solved_flows();
+  r.accrued_flows = cluster.network().accrued_flows();
   r.profile = simu.profiler().snapshot();
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
@@ -259,7 +263,8 @@ int main() {
   Table table("e2e_throughput");
   table.columns({"nodes", "speculator", "fairness", "wall ms", "eager ms",
                  "scan ms", "sched ms", "scan sched ms", "settle ms",
-                 "recompute calls", "solved flows", "sim events"});
+                 "recompute calls", "solved flows", "accrued flows",
+                 "sim events"});
   const auto dash_or = [](bool ran, const std::string& text) {
     return ran ? text : std::string("-");
   };
@@ -307,6 +312,7 @@ int main() {
              return std::to_string(a.key(Key::kRecompute).calls);
            }),
            pair([](const ArmResult& a) { return std::to_string(a.solved_flows); }),
+           pair([](const ArmResult& a) { return std::to_string(a.accrued_flows); }),
            std::to_string(shipping.events)});
       for (const auto& [ran, arm, result] :
            {std::tuple{true, &kShipping, &shipping}, std::tuple{moon, &kEager, &eager},
@@ -332,7 +338,8 @@ int main() {
             .field("bytes_read", result->bytes_read)
             .field("bytes_written", result->bytes_written)
             .field("replication_bytes", result->replication_bytes)
-            .field("solved_flows", static_cast<std::int64_t>(result->solved_flows));
+            .field("solved_flows", static_cast<std::int64_t>(result->solved_flows))
+            .field("accrued_flows", static_cast<std::int64_t>(result->accrued_flows));
         for (std::size_t k = 0; k < sim::Profiler::kKeyCount; ++k) {
           const auto key = static_cast<Key>(k);
           json.field(std::string(sim::Profiler::name(key)) + "_ms",
@@ -349,8 +356,8 @@ int main() {
                "eager-settle and scan-scheduler oracles;\nidentical simulated "
                "schedules, best of "
             << reps << " rep(s). \"-\" marks an arm a row does not\nrun; "
-               "settle/recompute/solved flows read eager/shipping on MOON "
-               "rows.\n\n";
+               "settle/recompute/solved/accrued flows read eager/shipping "
+               "on MOON rows.\n\n";
   table.print(std::cout);
   const std::string path = json.write();
   if (!path.empty()) std::cout << "\nwrote " << path << "\n";

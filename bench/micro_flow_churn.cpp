@@ -15,8 +15,10 @@
 // bench exits non-zero unless the arms agree on completion and event counts
 // and on a hash of the (completion time, flow id) sequence. Emits
 // BENCH_flow_churn.json with per-configuration wall times, the
-// incremental-arm speedup, and `solved_flows` — the flows the allocator
-// re-solved (FlowNetwork::solved_flows), an exact work counter.
+// incremental-arm speedup, and two exact work counters: `solved_flows`, the
+// flows the allocator re-solved (FlowNetwork::solved_flows), and
+// `accrued_flows`, the flows progress accrual visited
+// (FlowNetwork::accrued_flows).
 // MOON_BENCH_REPS controls repetitions (best-of).
 #include <chrono>
 #include <cstdlib>
@@ -43,6 +45,7 @@ struct ArmResult {
   std::uint64_t events = 0;
   std::uint64_t completion_hash = 0xcbf29ce484222325ULL;  // FNV-1a basis
   std::uint64_t solved_flows = 0;
+  std::uint64_t accrued_flows = 0;
 };
 
 /// Folds the eight bytes of `v` into an FNV-1a hash.
@@ -124,6 +127,7 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
 
   r.events = simu.executed_events();
   r.solved_flows = net.solved_flows();
+  r.accrued_flows = net.accrued_flows();
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
                   .count();
@@ -147,7 +151,7 @@ int main() {
   bench::JsonEmitter json("flow_churn");
   Table table("flow_churn");
   table.columns({"nodes", "fairness", "dense ms", "incremental ms", "speedup",
-                 "completions", "solved flows (d/i)"});
+                 "completions", "solved flows (d/i)", "accrued flows (d/i)"});
 
   for (const int nodes : {64, 256, 1024}) {
     for (const auto model :
@@ -172,7 +176,9 @@ int main() {
                      Table::num(dense.wall_ms, 1), Table::num(inc.wall_ms, 1),
                      Table::num(speedup, 1), std::to_string(inc.completions),
                      std::to_string(dense.solved_flows) + "/" +
-                         std::to_string(inc.solved_flows)});
+                         std::to_string(inc.solved_flows),
+                     std::to_string(dense.accrued_flows) + "/" +
+                         std::to_string(inc.accrued_flows)});
       for (const auto* arm : {&dense, &inc}) {
         json.begin_row()
             .field("nodes", static_cast<std::int64_t>(nodes))
@@ -182,6 +188,7 @@ int main() {
             .field("completions", static_cast<std::int64_t>(arm->completions))
             .field("sim_events", static_cast<std::int64_t>(arm->events))
             .field("solved_flows", static_cast<std::int64_t>(arm->solved_flows))
+            .field("accrued_flows", static_cast<std::int64_t>(arm->accrued_flows))
             .field("speedup", arm == &dense ? 1.0 : speedup);
       }
     }

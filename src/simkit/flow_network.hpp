@@ -25,6 +25,14 @@
 // oracle and the benchmark baseline; both modes produce bit-identical
 // simulated outcomes.
 //
+// Progress accrual, which runs at every timestamp advance, walks only the
+// flows that move: `moving_` indexes the flows with rate > 0 in FlowId
+// (= start) order, the same order as the live list, so each byte counter
+// receives the same terms in the same order as a walk over every live flow
+// that skips the stalled ones. At MOON's unavailability rates about half the
+// live flows are stalled through a suspended node; they cost accrual
+// nothing. The dense oracle keeps the walk over the whole live list.
+//
 // Settles themselves are timestamp-coalesced (see DESIGN.md §11): under
 // `CoalesceMode::kCoalesced` (default) churn only queues dirty work and the
 // recompute runs once per virtual timestamp via an end-of-timestamp flush
@@ -167,6 +175,10 @@ class FlowNetwork {
   /// down resource at 0 without counting them; the dense oracle counts every
   /// live flow.
   [[nodiscard]] std::uint64_t solved_flows() const { return solved_flows_; }
+  /// Deterministic work counter: flows progress accrual visited, summed over
+  /// timestamp advances. The incremental solvers visit only flows with
+  /// rate > 0; the dense oracle visits every live flow.
+  [[nodiscard]] std::uint64_t accrued_flows() const { return accrued_flows_; }
 
   /// Bytes moved through `resource` since construction (for throttling
   /// telemetry: dedicated DataNodes report consumed bandwidth upstream).
@@ -266,6 +278,8 @@ class FlowNetwork {
   void recompute_incremental_bottleneck_share();
   void update_share_status(std::uint32_t slot);
   void assign_rate(std::uint32_t slot, double rate);
+  /// Inserts or erases `slot` in `moving_`, which stays in FlowId order.
+  void index_moving(std::uint32_t slot, bool moving);
   void refresh_deadline(std::uint32_t slot);
   void push_completion_entry(std::uint32_t slot);
   void compact_completion_heap();
@@ -288,6 +302,9 @@ class FlowNetwork {
   std::uint32_t live_tail_ = kNoSlot;
   std::size_t active_count_ = 0;
   std::uint64_t solved_flows_ = 0;
+  std::uint64_t accrued_flows_ = 0;
+  // Slots of the flows with rate > 0 (+inf included), in FlowId order.
+  std::vector<std::uint32_t> moving_;
   Time last_update_ = 0;
   EventId completion_event_ = EventId::invalid();
   Time scheduled_for_ = kTimeMax;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mapred/admission.hpp"
@@ -198,7 +199,9 @@ TEST(Admission, SequenceHashIsBitIdenticalAcrossRuns) {
     auto* adm = h.jobtracker().admission();
     std::vector<JobId> admitted;
     for (int i = 0; i < 4; ++i) {
-      adm->offer(make_spec(h, "j" + std::to_string(i), 2, /*priority=*/i),
+      std::string name = "j";
+      name += std::to_string(i);
+      adm->offer(make_spec(h, name, 2, /*priority=*/i),
                  [&](const AdmissionController::Outcome& out) {
                    if (out.decision == AdmissionController::Decision::kAdmitted)
                      admitted.push_back(out.job);

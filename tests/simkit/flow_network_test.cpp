@@ -82,15 +82,35 @@ TEST_P(FlowModelTest, ZeroCapacityStallsFlow) {
 }
 
 TEST_P(FlowModelTest, StalledFlowResumesWhenCapacityReturns) {
+  // A flow across r and w moves 500 bytes, stalls on r for 60 s, and then
+  // finishes its 500 remaining bytes at 100 B/s. While it is stalled,
+  // neither its remaining bytes nor either resource's counter may move, at
+  // an accrual mid-stall (the start of an unrelated flow) or at the resume.
   const auto r = net_.add_resource(100.0);
+  const auto w = net_.add_resource(200.0);
+  const auto other = net_.add_resource(100.0);
   Time done_at = -1;
-  net_.start_flow({r}, 1000, [&](FlowId) { done_at = sim_.now(); });
+  const FlowId f =
+      net_.start_flow({r, w}, 1000, [&](FlowId) { done_at = sim_.now(); });
   sim_.run_until(5 * kSecond);  // 500 bytes moved
   net_.set_capacity(r, 0.0);
+  flush();
+  const auto expect_frozen = [&] {
+    EXPECT_EQ(net_.remaining(f), 500);
+    EXPECT_EQ(net_.transferred_through(r), 500.0);
+    EXPECT_EQ(net_.transferred_through(w), 500.0);
+  };
+  expect_frozen();
+  sim_.run_until(30 * kSecond);
+  net_.start_flow({other}, 100, [](FlowId) {});
+  expect_frozen();
   sim_.run_until(65 * kSecond);  // stalled for 60 s
   net_.set_capacity(r, 100.0);
+  expect_frozen();
   sim_.run();
-  EXPECT_NEAR(to_seconds(done_at), 70.0, 0.01);
+  EXPECT_EQ(done_at, 70 * kSecond);
+  EXPECT_EQ(net_.transferred_through(r), 1000.0);
+  EXPECT_EQ(net_.transferred_through(w), 1000.0);
 }
 
 TEST_P(FlowModelTest, StalledFlowDoesNotStealCapacityFromLiveFlows) {
@@ -373,6 +393,47 @@ TEST(FlowWorkCounter, LiveChurnNeverCountsFlowsStalledElsewhere) {
       net.set_capacity(shared, 60.0);
       EXPECT_EQ(net.solved_flows() - before, dense ? 13u : 2u);
       EXPECT_NEAR(net.rate(live), 30.0, 0.01);
+    }
+  }
+}
+
+TEST(FlowWorkCounter, AccrualVisitsOnlyMovingFlows) {
+  for (const FairnessModel model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    for (const SolverMode solver : {SolverMode::kIncremental, SolverMode::kDense}) {
+      for (const CoalesceMode coalesce :
+           {CoalesceMode::kCoalesced, CoalesceMode::kEager}) {
+        const bool dense = solver == SolverMode::kDense;
+        SCOPED_TRACE(std::string(model == FairnessModel::kMaxMin ? "max-min" : "bshare") +
+                     (dense ? "/dense" : "/incremental") +
+                     (coalesce == CoalesceMode::kCoalesced ? "/coalesced" : "/eager"));
+        Simulation sim;
+        FlowNetwork net(sim, model, solver, coalesce);
+        // f1 and f2 move at 100 B/s; f3 crosses the down resource `dead`.
+        const auto a = net.add_resource(100.0);
+        const auto b = net.add_resource(100.0);
+        const auto dead = net.add_resource(0.0);
+        std::vector<Time> done(3, -1);
+        net.start_flow({a}, 1000, [&](FlowId) { done[0] = sim.now(); });
+        net.start_flow({b}, 2000, [&](FlowId) { done[1] = sim.now(); });
+        net.start_flow({a, dead}, 1000, [&](FlowId) { done[2] = sim.now(); });
+        EXPECT_EQ(net.accrued_flows(), 0u);  // no time has passed
+
+        // Accruals at t=10 (f1 done) and t=20 (f2 done): the dense oracle
+        // visits 3 + 2 live flows, the index 2 + 1 moving ones.
+        sim.run_until(30 * kSecond);
+        EXPECT_EQ(done[0], 10 * kSecond);
+        EXPECT_EQ(done[1], 20 * kSecond);
+        EXPECT_EQ(net.accrued_flows(), dense ? 5u : 3u);
+
+        // Reviving `dead` accrues over the stalled f3 (dense visits it, the
+        // index is empty); its completion at t=40 visits f3 in both.
+        net.set_capacity(dead, 100.0);
+        EXPECT_EQ(net.accrued_flows(), dense ? 6u : 3u);
+        sim.run();
+        EXPECT_EQ(done[2], 40 * kSecond);
+        EXPECT_EQ(net.accrued_flows(), dense ? 7u : 4u);
+      }
     }
   }
 }
