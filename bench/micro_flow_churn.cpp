@@ -58,7 +58,8 @@ void fnv1a_fold(std::uint64_t& h, std::uint64_t v) {
 
 // One churn run: `nodes` nodes, 2 flows/node kept in flight (each completion
 // chains a replacement until the issue budget is spent), one availability
-// flip every 250 simulated ms (down nodes recover after 2 s).
+// flip every 250 simulated ms while any flow is in flight (down nodes
+// recover after 2 s).
 ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
                   bool batched_flips) {
   const auto wall_start = std::chrono::steady_clock::now();  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
@@ -110,7 +111,7 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
     up[n] = to_up;
   };
   std::function<void()> churn = [&] {
-    if (issued >= issue_budget) return;  // stop churning once winding down
+    if (r.completions == issued) return;  // stop once every flow is done
     const auto n = static_cast<std::size_t>(
         churn_rng.uniform_int(0, static_cast<std::int64_t>(nodes - 1)));
     if (up[n]) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/log.hpp"
 #include "mapred/task.hpp"
+#include "obs/event_log.hpp"
 
 namespace moon::audit {
 namespace {
@@ -16,7 +16,13 @@ std::string block_str(BlockId b) { return std::to_string(b.value()); }
 
 Auditor::Auditor(cluster::Cluster* cluster, dfs::Dfs* dfs,
                  mapred::JobTracker* jobtracker)
-    : cluster_(cluster), dfs_(dfs), jobtracker_(jobtracker) {}
+    : cluster_(cluster),
+      dfs_(dfs),
+      jobtracker_(jobtracker),
+      sim_(cluster != nullptr      ? &cluster->simulation()
+           : dfs != nullptr        ? &dfs->simulation()
+           : jobtracker != nullptr ? &jobtracker->simulation()
+                                   : nullptr) {}
 
 std::vector<Violation> Auditor::run() {
   std::vector<Violation> out;
@@ -29,9 +35,11 @@ std::vector<Violation> Auditor::run() {
   std::sort(out.begin(), out.end());
   ++passes_;
   violations_total_ += static_cast<std::int64_t>(out.size());
-  for (const Violation& v : out) {
-    log::error("audit", "invariant violated",
-               {{"invariant", v.invariant}, {"detail", v.detail}});
+  if (sim_ != nullptr && sim_->event_log() != nullptr) {
+    for (const Violation& v : out) {
+      obs::emit(*sim_, obs::Level::kError, "audit", "invariant violated",
+                {{"invariant", v.invariant}, {"detail", v.detail}});
+    }
   }
   return out;
 }

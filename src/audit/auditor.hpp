@@ -47,7 +47,8 @@ struct Violation {
 
 class Auditor {
  public:
-  /// Any ref may be null; the corresponding checks are skipped.
+  /// Any ref may be null; the corresponding checks are skipped. Violations
+  /// are logged to the Simulation the first non-null one belongs to.
   Auditor(cluster::Cluster* cluster, dfs::Dfs* dfs,
           mapred::JobTracker* jobtracker);
 
@@ -68,6 +69,7 @@ class Auditor {
   cluster::Cluster* cluster_;
   dfs::Dfs* dfs_;
   mapred::JobTracker* jobtracker_;
+  sim::Simulation* sim_;
   std::int64_t passes_ = 0;
   std::int64_t violations_total_ = 0;
 };

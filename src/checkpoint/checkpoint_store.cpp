@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
+#include "obs/event_log.hpp"
 #include "simkit/profiler.hpp"
 #include "simkit/simulation.hpp"
 
@@ -83,12 +83,12 @@ void CheckpointStore::emit(Snapshot snap, NodeId writer,
           rec.updated_at = dfs_.simulation().now();
           ++stats_.emits_committed;
           stats_.bytes_logged += bytes;
-          if (log::enabled(log::Level::kDebug)) {
-            log::debug("checkpoint", "emit committed",
-                       {{"job", std::to_string(shared->job.value())},
-                        {"task", std::to_string(shared->task.value())},
-                        {"bytes", std::to_string(bytes)},
-                        {"progress", std::to_string(shared->progress)}});
+          if (auto& sim = dfs_.simulation(); sim.event_log() != nullptr) {
+            obs::emit(sim, obs::Level::kDebug, "checkpoint", "emit committed",
+                      {{"job", std::to_string(shared->job.value())},
+                       {"task", std::to_string(shared->task.value())},
+                       {"bytes", std::to_string(bytes)},
+                       {"progress", std::to_string(shared->progress)}});
           }
         } else {
           ++stats_.emits_failed;

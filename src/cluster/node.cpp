@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "common/log.hpp"
+#include "obs/event_log.hpp"
 
 namespace moon::cluster {
 
@@ -61,9 +61,9 @@ void Node::apply_availability() {
                                  obs::Cat::kNode, "down", sim_.now());
     }
   }
-  if (log::enabled(log::Level::kDebug)) {
-    log::debug("node", up ? "up" : "down",
-               {{"node", std::to_string(id_.value())}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kDebug, "node", up ? "up" : "down",
+              {{"node", std::to_string(id_.value())}});
   }
   for (const auto& listener : listeners_) listener(up);
 }

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <map>
 
-#include "common/log.hpp"
 #include "simkit/fault_hooks.hpp"
+#include "obs/event_log.hpp"
 #include "obs/trace.hpp"
 
 namespace moon::dfs {
@@ -721,11 +721,11 @@ void Dfs::start_repair_streams() {
                             {"source", std::to_string(plan->source.value())},
                             {"bytes", std::to_string(size)}});
     }
-    if (log::enabled(log::Level::kDebug)) {
-      log::debug("dfs", "repair stream",
-                 {{"block", std::to_string(block.value())},
-                  {"source", std::to_string(plan->source.value())},
-                  {"target", std::to_string(target.value())}});
+    if (sim_.event_log() != nullptr) {
+      obs::emit(sim_, obs::Level::kDebug, "dfs", "repair stream",
+                {{"block", std::to_string(block.value())},
+                 {"source", std::to_string(plan->source.value())},
+                 {"target", std::to_string(target.value())}});
     }
     repairs_.emplace(flow,
                      Repair{block, plan->source, plan->target, size, span});

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/log.hpp"
+#include "obs/event_log.hpp"
 #include "recovery/master_journal.hpp"
 
 namespace moon::dfs {
@@ -58,8 +58,9 @@ void NameNode::crash() {
   estimate_p_ = 0.0;
   estimate_accum_ = 0.0;
   estimate_samples_ = 0;
-  if (log::enabled(log::Level::kWarn)) {
-    log::warn("dfs", "namenode crashed", {{"epoch", std::to_string(epoch_)}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "dfs", "namenode crashed",
+              {{"epoch", std::to_string(epoch_)}});
   }
 }
 
@@ -68,8 +69,9 @@ void NameNode::begin_recovery() {
   ++epoch_;
   up_ = true;
   if (journal_ != nullptr) journal_->add_divergences(diff_against_journal());
-  if (log::enabled(log::Level::kInfo)) {
-    log::info("dfs", "namenode recovering", {{"epoch", std::to_string(epoch_)}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kInfo, "dfs", "namenode recovering",
+              {{"epoch", std::to_string(epoch_)}});
   }
 }
 

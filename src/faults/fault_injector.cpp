@@ -4,9 +4,9 @@
 #include <utility>
 #include <string>
 
-#include "common/log.hpp"
 #include "dfs/dfs.hpp"
 #include "mapred/jobtracker.hpp"
+#include "obs/event_log.hpp"
 #include "obs/trace.hpp"
 
 namespace moon::faults {
@@ -77,9 +77,11 @@ void FaultInjector::arm(const std::vector<NodeId>& volatile_ids) {
       cluster_.node(node).set_capacity_factor(config_.stragglers.capacity_factor);
       ++stats_.stragglers_injected;
       fault_instant(obs::kClusterPid, obs::node_track(node), "straggler", node);
-      log::info("faults", "straggler",
-                {{"node", std::to_string(node.value())},
-                 {"factor", std::to_string(config_.stragglers.capacity_factor)}});
+      if (sim_.event_log() != nullptr) {
+        obs::emit(sim_, obs::Level::kInfo, "faults", "straggler",
+                  {{"node", std::to_string(node.value())},
+                   {"factor", std::to_string(config_.stragglers.capacity_factor)}});
+      }
     }
   }
 }
@@ -137,7 +139,10 @@ void FaultInjector::crash_master(bool namenode, dfs::Dfs* dfs,
         namenode ? obs::kDfsPid : obs::kClusterPid, 0, obs::Cat::kFault,
         std::string(who) + "_down", sim_.now());
   }
-  log::warn("faults", "master crash", {{"master", who}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "faults", "master crash",
+              {{"master", who}});
+  }
 }
 
 void FaultInjector::recover_master(bool namenode, dfs::Dfs* dfs,
@@ -152,8 +157,10 @@ void FaultInjector::recover_master(bool namenode, dfs::Dfs* dfs,
   if (auto* tracer = sim_.tracer()) {
     tracer->end(master_span_[namenode ? 0 : 1], sim_.now());
   }
-  log::info("faults", "master recovered",
-            {{"master", namenode ? "namenode" : "jobtracker"}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kInfo, "faults", "master recovered",
+              {{"master", namenode ? "namenode" : "jobtracker"}});
+  }
   // Mandatory post-recovery sweep: a rebuild that violates an invariant is a
   // bug in the recovery path, not survivable background noise. The sweep is
   // a callback so this layer never includes audit/ (detlint layering rule).
@@ -172,9 +179,11 @@ void FaultInjector::group_down(std::size_t group) {
     cluster_.node(node).set_fault_down(true);
     fault_instant(obs::kClusterPid, obs::node_track(node), "outage", node);
   }
-  log::warn("faults", "group outage",
-            {{"group", std::to_string(group)},
-             {"nodes", std::to_string(groups_[group].size())}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "faults", "group outage",
+              {{"group", std::to_string(group)},
+               {"nodes", std::to_string(groups_[group].size())}});
+  }
   const sim::Duration outage = exp_duration(
       outage_rng_, config_.outages.mean_outage, config_.outages.min_outage);
   sim_.schedule_after(outage, [this, group] { group_up(group); });
@@ -184,8 +193,10 @@ void FaultInjector::group_up(std::size_t group) {
   for (const NodeId node : groups_[group]) {
     cluster_.node(node).set_fault_down(false);
   }
-  log::info("faults", "group outage over",
-            {{"group", std::to_string(group)}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kInfo, "faults", "group outage over",
+              {{"group", std::to_string(group)}});
+  }
   schedule_cycle(group);
 }
 
@@ -212,9 +223,11 @@ bool FaultInjector::corrupt_replica(BlockId block, NodeId node) {
   if (!storage_rng_.chance(config_.storage.corrupt_probability)) return false;
   ++stats_.replicas_corrupted;
   fault_instant(obs::kDfsPid, obs::node_track(node), "corrupt", node);
-  log::warn("faults", "replica corrupted",
-            {{"block", std::to_string(block.value())},
-             {"node", std::to_string(node.value())}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "faults", "replica corrupted",
+              {{"block", std::to_string(block.value())},
+               {"node", std::to_string(node.value())}});
+  }
   return true;
 }
 
@@ -223,18 +236,22 @@ bool FaultInjector::reject_write(BlockId block, NodeId node) {
   if (!storage_rng_.chance(config_.storage.reject_probability)) return false;
   ++stats_.writes_rejected;
   fault_instant(obs::kDfsPid, obs::node_track(node), "disk_full", node);
-  log::warn("faults", "write rejected",
-            {{"block", std::to_string(block.value())},
-             {"node", std::to_string(node.value())}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "faults", "write rejected",
+              {{"block", std::to_string(block.value())},
+               {"node", std::to_string(node.value())}});
+  }
   return true;
 }
 
 void FaultInjector::note_corruption_detected(BlockId block, NodeId node) {
   ++stats_.corruptions_detected;
   fault_instant(obs::kDfsPid, obs::node_track(node), "checksum_fail", node);
-  log::warn("faults", "corruption detected on read",
-            {{"block", std::to_string(block.value())},
-             {"node", std::to_string(node.value())}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "faults", "corruption detected on read",
+              {{"block", std::to_string(block.value())},
+               {"node", std::to_string(node.value())}});
+  }
 }
 
 void FaultInjector::fault_instant(std::uint32_t pid, std::uint32_t track,

@@ -4,9 +4,9 @@
 #include <string>
 #include <utility>
 
-#include "common/log.hpp"
 #include "mapred/job.hpp"
 #include "mapred/jobtracker.hpp"
+#include "obs/event_log.hpp"
 #include "obs/trace.hpp"
 
 namespace moon::mapred {
@@ -85,8 +85,8 @@ void AdmissionController::offer(JobSpec spec,
       }
       record(kTagReject);
       ++stats_.rejected;
-      if (log::enabled(log::Level::kInfo)) {
-        log::info("admission", "rejected",
+      if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+        obs::emit(sim, obs::Level::kInfo, "admission", "rejected",
                   {{"job", spec.name},
                    {"live_jobs", std::to_string(jobtracker_.live_jobs())}});
       }
@@ -109,8 +109,8 @@ void AdmissionController::offer(JobSpec spec,
       }
       record(kTagDefer);
       ++stats_.deferred;
-      if (log::enabled(log::Level::kInfo)) {
-        log::info("admission", "deferred",
+      if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+        obs::emit(sim, obs::Level::kInfo, "admission", "deferred",
                   {{"job", spec.name},
                    {"queue", std::to_string(deferred_.size() + 1)}});
       }
@@ -142,11 +142,13 @@ void AdmissionController::offer(JobSpec spec,
         record(kTagShed);
         ++stats_.shed;
         if (!first_shed.valid()) first_shed = victim->id();
-        log::warn("admission", "job shed",
-                  {{"job", std::to_string(victim->id().value())},
-                   {"name", victim->spec().name},
-                   {"priority", std::to_string(victim->spec().priority)},
-                   {"for", spec.name}});
+        if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+          obs::emit(sim, obs::Level::kWarn, "admission", "job shed",
+                    {{"job", std::to_string(victim->id().value())},
+                     {"name", victim->spec().name},
+                     {"priority", std::to_string(victim->spec().priority)},
+                     {"for", spec.name}});
+        }
         if (auto* tracer = jobtracker_.simulation().tracer()) {
           tracer->instant(obs::kClusterPid, 0, obs::Cat::kSched,
                           "admission-shed", jobtracker_.simulation().now());
@@ -157,8 +159,8 @@ void AdmissionController::offer(JobSpec spec,
         // Nothing sheddable was lower priority: the arrival loses instead.
         record(kTagReject);
         ++stats_.rejected;
-        if (log::enabled(log::Level::kInfo)) {
-          log::info("admission", "rejected",
+        if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+          obs::emit(sim, obs::Level::kInfo, "admission", "rejected",
                     {{"job", spec.name}, {"reason", "no-lower-priority"}});
         }
         Outcome out;
@@ -189,8 +191,8 @@ void AdmissionController::admit(
 void AdmissionController::finish_reject(const Parked& parked) {
   record(kTagReject);
   ++stats_.rejected;
-  if (log::enabled(log::Level::kInfo)) {
-    log::info("admission", "rejected",
+  if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+    obs::emit(sim, obs::Level::kInfo, "admission", "rejected",
               {{"job", parked.spec.name},
                {"defers", std::to_string(parked.defers)}});
   }

@@ -5,8 +5,8 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/log.hpp"
 #include "mapred/jobtracker.hpp"
+#include "obs/event_log.hpp"
 #include "recovery/master_journal.hpp"
 
 namespace moon::mapred {
@@ -450,8 +450,8 @@ void Job::submit() {
                           {{"maps", std::to_string(spec_.num_maps)},
                            {"reduces", std::to_string(spec_.num_reduces)}});
   }
-  if (log::enabled(log::Level::kInfo)) {
-    log::info("job", "submitted",
+  if (sim.event_log() != nullptr) {
+    obs::emit(sim, obs::Level::kInfo, "job", "submitted",
               {{"job", std::to_string(id_.value())},
                {"name", spec_.name},
                {"maps", std::to_string(spec_.num_maps)},
@@ -602,8 +602,8 @@ void Job::check_attempt_cap(Task& t) {
   if (finished() || t.state == TaskState::kCompleted) return;
   const int cap = jobtracker_.config().max_attempt_failures;
   if (cap <= 0 || static_cast<int>(t.attempts.size()) < cap) return;
-  if (log::enabled(log::Level::kWarn)) {
-    log::warn("job", "task attempt cap reached",
+  if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+    obs::emit(sim, obs::Level::kWarn, "job", "task attempt cap reached",
               {{"job", std::to_string(id_.value())},
                {"task", std::to_string(t.id.value())},
                {"attempts", std::to_string(t.attempts.size())}});
@@ -719,8 +719,8 @@ void Job::revert_map(TaskId map_task) {
                     jobtracker_.simulation().now(),
                     {{"map", std::to_string(t.index)}});
   }
-  if (log::enabled(log::Level::kWarn)) {
-    log::warn("job", "map output lost, re-executing",
+  if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+    obs::emit(sim, obs::Level::kWarn, "job", "map output lost, re-executing",
               {{"job", std::to_string(id_.value())},
                {"map", std::to_string(t.index)}});
   }
@@ -834,8 +834,9 @@ void Job::try_commit() {
     tracer->end(span_, metrics_.finished_at, {{"outcome", "completed"}});
     span_ = {};
   }
-  if (log::enabled(log::Level::kInfo)) {
-    log::info("job", "completed", {{"job", std::to_string(id_.value())}});
+  if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+    obs::emit(sim, obs::Level::kInfo, "job", "completed",
+              {{"job", std::to_string(id_.value())}});
   }
   jobtracker_.checkpoint_store().drop_job(id_);
   jobtracker_.notify_job_finished(*this);
@@ -854,8 +855,8 @@ void Job::fail_job(JobFailureReason reason) {
                 {{"outcome", "failed"}, {"reason", to_string(reason)}});
     span_ = {};
   }
-  if (log::enabled(log::Level::kWarn)) {
-    log::warn("job", "failed",
+  if (auto& sim = jobtracker_.simulation(); sim.event_log() != nullptr) {
+    obs::emit(sim, obs::Level::kWarn, "job", "failed",
               {{"job", std::to_string(id_.value())},
                {"reason", to_string(reason)}});
   }

@@ -4,7 +4,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "common/log.hpp"
+#include "obs/event_log.hpp"
 #include "obs/trace.hpp"
 #include "recovery/master_journal.hpp"
 
@@ -183,8 +183,8 @@ void JobTracker::heartbeat(TaskTracker& tracker) {
       tracer->instant(obs::kClusterPid, obs::node_track(tracker.node_id()),
                       obs::Cat::kFault, "readmit", sim_.now());
     }
-    if (log::enabled(log::Level::kInfo)) {
-      log::info("jobtracker", "tracker readmitted",
+    if (sim_.event_log() != nullptr) {
+      obs::emit(sim_, obs::Level::kInfo, "jobtracker", "tracker readmitted",
                 {{"node", std::to_string(tracker.node_id().value())}});
     }
   }
@@ -219,10 +219,12 @@ void JobTracker::note_attempt_failure(TaskTracker& tracker) {
                     obs::Cat::kFault, "quarantine", sim_.now(),
                     {{"backoff_s", std::to_string(sim::to_seconds(backoff))}});
   }
-  log::warn("jobtracker", "tracker quarantined",
-            {{"node", std::to_string(tracker.node_id().value())},
-             {"backoff_s", std::to_string(sim::to_seconds(backoff))},
-             {"entries", std::to_string(info.quarantines)}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "jobtracker", "tracker quarantined",
+              {{"node", std::to_string(tracker.node_id().value())},
+               {"backoff_s", std::to_string(sim::to_seconds(backoff))},
+               {"entries", std::to_string(info.quarantines)}});
+  }
 }
 
 bool JobTracker::quarantined(NodeId node) const {
@@ -242,8 +244,8 @@ void JobTracker::set_tracker_state(TrackerInfo& info, TrackerState next) {
                     obs::Cat::kSched, std::string("tracker-") + state_name,
                     sim_.now());
   }
-  if (log::enabled(log::Level::kInfo)) {
-    log::info("jobtracker", "tracker state",
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kInfo, "jobtracker", "tracker state",
               {{"node", std::to_string(info.tracker->node_id().value())},
                {"state", state_name}});
   }
@@ -308,8 +310,10 @@ void JobTracker::crash() {
   }
   live_map_slots_ = 0;
   live_reduce_slots_ = 0;
-  log::warn("jobtracker", "master crashed",
-            {{"jobs", std::to_string(jobs_by_order_.size())}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kWarn, "jobtracker", "master crashed",
+              {{"jobs", std::to_string(jobs_by_order_.size())}});
+  }
 }
 
 void JobTracker::recover() {
@@ -365,9 +369,11 @@ void JobTracker::recover() {
     next->deliver_parked_report();
     ++reports_replayed_;
   }
-  log::info("jobtracker", "master recovered",
-            {{"epoch", std::to_string(epoch_)},
-             {"reregistered", std::to_string(reregistrations_)}});
+  if (sim_.event_log() != nullptr) {
+    obs::emit(sim_, obs::Level::kInfo, "jobtracker", "master recovered",
+              {{"epoch", std::to_string(epoch_)},
+               {"reregistered", std::to_string(reregistrations_)}});
+  }
 }
 
 std::int64_t JobTracker::diff_against_journal() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
 #include "mapred/job.hpp"
 #include "mapred/jobtracker.hpp"
 #include "mapred/tasktracker.hpp"

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <ostream>
 
+#include "obs/trace.hpp"
+#include "simkit/simulation.hpp"
+
 namespace moon::obs {
 namespace {
 
@@ -26,18 +29,17 @@ void write_escaped(std::ostream& out, const std::string& s) {
   }
 }
 
-const char* level_json(log::Level level) {
+}  // namespace
+
+const char* level_name(Level level) {
   switch (level) {
-    case log::Level::kDebug: return "debug";
-    case log::Level::kInfo: return "info";
-    case log::Level::kWarn: return "warn";
-    case log::Level::kError: return "error";
-    case log::Level::kOff: break;
+    case Level::kDebug: return "debug";
+    case Level::kInfo: return "info";
+    case Level::kWarn: return "warn";
+    case Level::kError: return "error";
   }
   return "?";
 }
-
-}  // namespace
 
 EventLog::EventLog(std::size_t capacity)
     : ring_(std::max<std::size_t>(capacity, 1)) {}
@@ -62,7 +64,7 @@ void EventLog::write_jsonl(std::ostream& out) const {
   for (std::size_t i = 0; i < size_; ++i) {
     const LogRecord& rec = at(i);
     out << "{\"t\":" << sim::to_seconds(rec.time) << ",\"level\":\""
-        << level_json(rec.level) << "\",\"component\":\"";
+        << level_name(rec.level) << "\",\"component\":\"";
     write_escaped(out, rec.component);
     out << "\",\"msg\":\"";
     write_escaped(out, rec.message);
@@ -77,6 +79,22 @@ void EventLog::write_jsonl(std::ostream& out) const {
     }
     out << "}}\n";
   }
+}
+
+void emit(sim::Simulation& sim, Level level, const char* component,
+          std::string message, Fields fields) {
+  assert(sim.event_log() != nullptr);
+  if (Tracer* tracer = sim.tracer()) {
+    Tracer::Args args;
+    args.reserve(fields.size() + 2);
+    args.emplace_back("level", level_name(level));
+    args.emplace_back("component", component);
+    for (const Field& f : fields) args.emplace_back(f.key, f.value);
+    tracer->instant(kClusterPid, 0, Cat::kLog, message, sim.now(),
+                    std::move(args));
+  }
+  sim.event_log()->append(
+      {sim.now(), level, component, std::move(message), std::move(fields)});
 }
 
 }  // namespace moon::obs

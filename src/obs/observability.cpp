@@ -22,32 +22,9 @@ void Observability::attach() {
   attached_ = true;
   sim_.set_tracer(tracer_.get());
   sim_.set_metrics(metrics_.get());
-  if (config_.capture_log || config_.trace) {
-    // Capture the control plane's narration: every record lands in the
-    // bounded event log, and (when tracing) mirrors into the trace as an
-    // instant on the cluster control track.
-    log::set_sink(
-        [this](log::Level level, const char* component,
-               const std::string& message, const log::Fields& fields) {
-          LogRecord rec;
-          rec.time = sim_.now();
-          rec.level = level;
-          rec.component = component;
-          rec.message = message;
-          rec.fields = fields;
-          events_.append(std::move(rec));
-          if (tracer_) {
-            Tracer::Args args;
-            args.reserve(fields.size() + 2);
-            args.emplace_back("level", log::level_name(level));
-            args.emplace_back("component", component);
-            for (const auto& f : fields) args.emplace_back(f.key, f.value);
-            tracer_->instant(kClusterPid, 0, Cat::kLog, message, sim_.now(),
-                             std::move(args));
-          }
-        },
-        config_.capture_level);
-  }
+  // Capture the control plane's narration: every record lands in the
+  // bounded event log and, when tracing, mirrors into the trace (obs::emit).
+  if (config_.capture_log || config_.trace) sim_.set_event_log(&events_);
   if (metrics_) {
     metrics_->sample(sim_.now());  // t=attach baseline row
     sampler_.start();
@@ -63,7 +40,7 @@ void Observability::finalize() {
   if (tracer_) tracer_->close_open(sim_.now());
   sim_.set_tracer(nullptr);
   sim_.set_metrics(nullptr);
-  if (config_.capture_log || config_.trace) log::clear_sink();
+  sim_.set_event_log(nullptr);
 }
 
 }  // namespace moon::obs

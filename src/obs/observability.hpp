@@ -1,10 +1,12 @@
 // Observability bundle: owns a run's Tracer, MetricsRegistry, and EventLog
-// and wires them into a Simulation.
+// and wires them into a Simulation. Every piece is reached only through that
+// Simulation, so runs in one process (or on separate threads) never share
+// one.
 //
 // Lifecycle:
 //   Observability obs(cfg, sim);   // construct (off-pieces stay null)
 //   obs.tracer()->name_process…    // wiring: tracks, gauges (Environment)
-//   obs.attach();                  // install sim pointers, log sink, sampler
+//   obs.attach();                  // install sim pointers, start sampler
 //   … run …
 //   obs.finalize();                // final sample, close open spans, detach
 //
@@ -23,7 +25,6 @@
 
 #include <memory>
 
-#include "common/log.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,12 +36,10 @@ namespace moon::obs {
 struct ObsConfig {
   bool trace = false;        ///< record spans/instants (Chrome trace export)
   bool metrics = false;      ///< sample gauges on a simulated-time cadence
-  bool capture_log = false;  ///< capture moon::log records into the event log
+  bool capture_log = false;  ///< capture control-plane records (obs::emit)
   TraceConfig trace_cfg;
   MetricsConfig metrics_cfg;
   std::size_t event_log_capacity = 65536;
-  /// Sink capture threshold when capture_log (or trace) is on.
-  log::Level capture_level = log::Level::kDebug;
 
   [[nodiscard]] bool any() const { return trace || metrics || capture_log; }
 };
@@ -65,8 +64,9 @@ class Observability {
   [[nodiscard]] EventLog& events() { return events_; }
   [[nodiscard]] const EventLog& events() const { return events_; }
 
-  /// Installs the simulation pointers and log sink, takes the first metrics
-  /// sample, and starts the sampling cadence. Call after gauges are wired.
+  /// Installs the simulation pointers (the event log's when capture_log or
+  /// trace is on), takes the first metrics sample, and starts the sampling
+  /// cadence. Call after gauges are wired.
   void attach();
 
   /// Final sample, closes open spans at sim.now(), detaches everything.

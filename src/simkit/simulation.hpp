@@ -34,6 +34,7 @@
 namespace moon::obs {
 class Tracer;
 class MetricsRegistry;
+class EventLog;
 }  // namespace moon::obs
 
 namespace moon::sim {
@@ -102,16 +103,20 @@ class Simulation {
 
   // ---- observability hooks --------------------------------------------------
   //
-  // Instrumented components reach the tracer/metrics registry through the
-  // Simulation they already hold; nullptr (the default) means observability
-  // is off and the cost at a call site is one pointer load and branch. The
-  // obs::Observability layer owns the objects and installs/clears the
-  // pointers; the Simulation never dereferences them itself.
+  // Instrumented components reach the tracer, metrics registry and event
+  // log through the Simulation they already hold; nullptr (the default)
+  // means that piece is off and the cost at a call site is one pointer load
+  // and branch. The obs::Observability layer owns the objects and
+  // installs/clears the pointers; the Simulation never dereferences them
+  // itself.
 
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Control-plane records go here through obs::emit.
+  [[nodiscard]] obs::EventLog* event_log() const { return event_log_; }
+  void set_event_log(obs::EventLog* log) { event_log_ = log; }
 
   /// Fault-injection hook, same ownership contract as the tracer: the
   /// concrete injector (faults::FaultInjector, four layers up) installs and
@@ -191,6 +196,7 @@ class Simulation {
   Rng rng_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+  obs::EventLog* event_log_ = nullptr;
   FaultHooks* faults_ = nullptr;
 };
 

@@ -50,7 +50,8 @@ TEST(Lexer, StripsCommentsAndStrings) {
 }
 
 TEST(Lexer, BannedNameInsideStringIsNotAFinding) {
-  const auto fs = scan("const char* msg = \"call rand() at time()\";\n");
+  const auto fs =
+      scan("const char* const msg = \"call rand() at time()\";\n");
   EXPECT_TRUE(fs.empty());
 }
 
@@ -99,7 +100,7 @@ TEST(UnorderedIter, FlagsRangeForOverLocal) {
 TEST(UnorderedIter, FlagsIteratorLoop) {
   const auto fs = scan(
       "#include <unordered_set>\n"
-      "std::unordered_set<int> s;\n"
+      "const std::unordered_set<int> s;\n"
       "int f() {\n"
       "  int n = 0;\n"
       "  for (auto it = s.begin(); it != s.end(); ++it) n += *it;\n"
@@ -113,7 +114,7 @@ TEST(UnorderedIter, TracksTypeAliases) {
   const auto fs = scan(
       "#include <unordered_map>\n"
       "using Index = std::unordered_map<int, int>;\n"
-      "Index idx;\n"
+      "const Index idx;\n"
       "int f() {\n"
       "  int n = 0;\n"
       "  for (const auto& [k, v] : idx) n += v;\n"
@@ -147,7 +148,7 @@ TEST(UnorderedIter, CompanionHeaderDeclaresMember) {
 TEST(UnorderedIter, OrderedContainersAreFine) {
   const auto fs = scan(
       "#include <map>\n"
-      "std::map<int, int> m;\n"
+      "const std::map<int, int> m;\n"
       "int f() {\n"
       "  int n = 0;\n"
       "  for (const auto& [k, v] : m) n += v;\n"
@@ -218,8 +219,8 @@ TEST(PtrOrder, FlagsPointerKeys) {
       "#include <map>\n"
       "#include <set>\n"
       "struct T {};\n"
-      "std::map<T*, int> a;\n"
-      "std::set<const T*> b;\n");
+      "const std::map<T*, int> a;\n"
+      "const std::set<const T*> b;\n");
   EXPECT_EQ(rules_of(fs),
             (std::vector<std::string>{"ptr-order", "ptr-order"}));
 }
@@ -228,7 +229,7 @@ TEST(PtrOrder, PointerValuesAreFine) {
   const auto fs = scan(
       "#include <map>\n"
       "struct T {};\n"
-      "std::map<int, T*> a;\n");
+      "const std::map<int, T*> a;\n");
   EXPECT_TRUE(fs.empty());
 }
 
@@ -262,6 +263,55 @@ TEST(Layering, RanksAreWellFormed) {
   // Documented same-rank peers.
   EXPECT_EQ(ranks.at("dfs"), ranks.at("recovery"));
   EXPECT_EQ(ranks.at("mapred"), ranks.at("faults"));
+}
+
+// --------------------------------------------------------- shared-state ----
+
+TEST(SharedState, FlagsMutableGlobalsAndStaticLocals) {
+  const auto fs = scan(
+      "#include <atomic>\n"
+      "namespace {\n"
+      "std::atomic<int> level{0};\n"
+      "}\n"
+      "const char* name = \"x\";\n"
+      "int next() {\n"
+      "  static int n = 0;\n"
+      "  return ++n;\n"
+      "}\n"
+      "struct S { static int count; };\n");
+  ASSERT_EQ(rules_of(fs), (std::vector<std::string>(4, "shared-state")));
+  EXPECT_EQ(fs[0].line, 3);
+  EXPECT_EQ(fs[1].line, 5);
+  EXPECT_EQ(fs[2].line, 7);
+  EXPECT_EQ(fs[3].line, 10);
+}
+
+TEST(SharedState, ConstTablesFunctionsAndLocalsAreFine) {
+  const auto fs = scan(
+      "#include <map>\n"
+      "constexpr int kSlots = 4;\n"
+      "const std::map<int, int> kTable = {{1, 2}};\n"
+      "const char* const kName = \"x\";\n"
+      "int twice(int x);\n"
+      "struct S {\n"
+      "  S() : n_{0} {}\n"
+      "  static constexpr int kMax = 8;\n"
+      "  static S make() { return S{}; }\n"
+      "  int n_;\n"
+      "};\n"
+      "int f() {\n"
+      "  int local = 1;\n"
+      "  static const std::map<int, int> kSteps = {{0, 1}};\n"
+      "  auto g = [&](int x) { local += x; };\n"
+      "  g(2);\n"
+      "  return local + static_cast<int>(kSteps.size());\n"
+      "}\n");
+  EXPECT_TRUE(fs.empty());
+}
+
+TEST(SharedState, SkippedOutsideSrc) {
+  const auto fs = scan("int g_counter = 0;\n", FileClass::kOther);
+  EXPECT_TRUE(fs.empty());
 }
 
 // -------------------------------------------------- annotation machinery ----

@@ -104,9 +104,9 @@ TEST(MetricsRegistryTest, HistogramSummariesInJsonl) {
 
 TEST(EventLogTest, BoundedRingKeepsNewestRecords) {
   EventLog log(2);
-  log.append({1, log::Level::kInfo, "a", "first", {}});
-  log.append({2, log::Level::kWarn, "b", "second", {}});
-  log.append({3, log::Level::kError, "c", "third", {{"k", "v"}}});
+  log.append({1, Level::kInfo, "a", "first", {}});
+  log.append({2, Level::kWarn, "b", "second", {}});
+  log.append({3, Level::kError, "c", "third", {{"k", "v"}}});
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 1u);
   EXPECT_EQ(log.at(0).message, "second");

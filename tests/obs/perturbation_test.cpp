@@ -8,12 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "experiment/scenario.hpp"
 
 namespace moon::experiment {
 namespace {
+
+int count_occurrences(const std::string& haystack, const std::string& needle) {
+  int n = 0;
+  for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
 
 ScenarioConfig small_config(const mapred::SchedulerConfig& sched,
                             std::uint64_t seed) {
@@ -34,8 +46,8 @@ ScenarioConfig small_config(const mapred::SchedulerConfig& sched,
   return cfg;
 }
 
-/// Everything on, at maximum verbosity: heartbeat instants, log capture at
-/// kDebug, a short sampling cadence.
+/// Everything on, at maximum verbosity: heartbeat instants, log capture, a
+/// short sampling cadence.
 obs::ObsConfig all_on() {
   obs::ObsConfig o;
   o.trace = true;
@@ -77,7 +89,52 @@ TEST(PerturbationTest, ObservabilityOnIsBitIdenticalToOff) {
       ASSERT_NE(series, nullptr);
       EXPECT_GT(series->size(), 0u);
       EXPECT_GT(instrumented_run.obs->events().size(), 0u);
+
+      // Each record's trace mirror carries the level the JSONL writes
+      // ("info", "warn", …): per level, both exports count the same records.
+      std::ostringstream jsonl;
+      std::ostringstream trace;
+      instrumented_run.obs->events().write_jsonl(jsonl);
+      instrumented_run.obs->tracer()->write_chrome_trace(trace);
+      for (const obs::Level level : {obs::Level::kDebug, obs::Level::kInfo,
+                                     obs::Level::kWarn, obs::Level::kError}) {
+        const std::string arg =
+            std::string("\"level\":\"") + obs::level_name(level) + "\"";
+        EXPECT_EQ(count_occurrences(trace.str(), arg),
+                  count_occurrences(jsonl.str(), arg))
+            << arg;
+      }
     }
+  }
+}
+
+/// Two obs-on runs on two threads reproduce the same seeds run one after
+/// the other: runs share no state, so neither sees the other's records.
+TEST(PerturbationTest, ConcurrentRunsMatchSerialRuns) {
+  struct Outcome {
+    std::string fingerprint;
+    std::size_t events = 0;
+  };
+  const std::uint64_t seeds[2] = {20100621u, 7u};
+  const auto run = [](std::uint64_t seed, Outcome& out) {
+    ScenarioConfig cfg = small_config(moon_checkpoint_scheduler(false), seed);
+    cfg.obs = all_on();
+    const RunResult result = run_scenario(cfg);
+    out.fingerprint = fingerprint(result);
+    out.events = result.obs->events().size();
+  };
+  Outcome serial[2];
+  for (int i = 0; i < 2; ++i) run(seeds[i], serial[i]);
+  Outcome concurrent[2];
+  std::thread first(run, seeds[0], std::ref(concurrent[0]));
+  std::thread second(run, seeds[1], std::ref(concurrent[1]));
+  first.join();
+  second.join();
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("seed" + std::to_string(seeds[i]));
+    EXPECT_GT(serial[i].events, 0u);
+    EXPECT_EQ(concurrent[i].fingerprint, serial[i].fingerprint);
+    EXPECT_EQ(concurrent[i].events, serial[i].events);
   }
 }
 

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <initializer_list>
 #include <optional>
 
 namespace detlint {
 namespace {
 
 constexpr std::string_view kRuleIds[] = {"unordered-iter", "wall-clock",
-                                         "ptr-order", "layering"};
+                                         "ptr-order", "layering",
+                                         "shared-state"};
 
 bool known_rule(std::string_view rule) {
   return std::find(std::begin(kRuleIds), std::end(kRuleIds), rule) !=
@@ -400,6 +402,199 @@ void rule_ptr_order(std::string_view path, const std::vector<Token>& toks,
   }
 }
 
+// ---- shared mutable state --------------------------------------------------
+
+/// What a `{` opened, as far as the shared-state rule cares.
+enum class Scope {
+  kNamespace,  ///< namespace / extern "C" body: declarations are globals
+  kClass,      ///< class / struct / union / enum body
+  kFunction,   ///< function, lambda or block body: `static` makes a global
+  kInit,       ///< braced initializer (or anything unrecognized): skipped
+};
+
+bool is_one_of(const Token& t, std::initializer_list<std::string_view> words) {
+  return std::find(words.begin(), words.end(), t.text) != words.end();
+}
+
+/// The declaration part of the statement toks[begin, end): its tokens at
+/// bracket and template depth 0, up to the first `=` or braced initializer.
+struct DeclPart {
+  std::vector<std::size_t> tokens;  ///< indices into the token stream
+  bool declarator_parens = false;   ///< a `(` at depth 0: a function
+};
+
+DeclPart decl_part(const std::vector<Token>& toks, std::size_t begin,
+                   std::size_t end) {
+  DeclPart d;
+  int nest = 0;   // () [] {}
+  int angle = 0;  // template arguments
+  for (std::size_t i = begin; i < end; ++i) {
+    const Token& t = toks[i];
+    if (nest == 0 && (is_punct(t, "=") || is_punct(t, "{"))) break;
+    if (is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")) {
+      if (nest == 0 && angle == 0 && is_punct(t, "(")) {
+        d.declarator_parens = true;
+      }
+      ++nest;
+    } else if (is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")) {
+      --nest;
+    } else if (nest != 0) {
+      continue;
+    } else if (is_punct(t, "<")) {
+      ++angle;
+    } else if (is_punct(t, ">")) {
+      --angle;
+    } else if (is_punct(t, ">>")) {
+      angle -= 2;
+    } else if (angle == 0) {
+      d.tokens.push_back(i);
+    }
+  }
+  return d;
+}
+
+/// True when the declaration names a variable whose own value can change:
+/// not a function, not constexpr, and (past its last `*`) not const.
+bool declares_mutable_variable(const std::vector<Token>& toks,
+                               const DeclPart& d) {
+  if (d.declarator_parens || d.tokens.size() < 2) return false;
+  if (toks[d.tokens.back()].kind != TokKind::kIdent) return false;
+  std::size_t value_from = 0;  // where the declared object's cv starts
+  for (std::size_t k = 0; k < d.tokens.size(); ++k) {
+    const Token& t = toks[d.tokens[k]];
+    if (is_ident(t, "constexpr") || is_ident(t, "operator")) return false;
+    if (is_punct(t, "*")) value_from = k + 1;
+  }
+  for (std::size_t k = value_from; k < d.tokens.size(); ++k) {
+    if (is_ident(toks[d.tokens[k]], "const")) return false;
+  }
+  return true;
+}
+
+/// Classifies the `{` at `brace`, which ends the statement that starts at
+/// `begin` in a scope of kind `parent`.
+Scope classify_brace(const std::vector<Token>& toks, Scope parent,
+                     std::size_t begin, std::size_t brace) {
+  if (parent == Scope::kInit) return Scope::kInit;
+  const Token* prev = brace > begin ? &toks[brace - 1] : nullptr;
+  if (parent == Scope::kFunction) {
+    // A nested block, control-flow body or lambda; else an initializer.
+    if (prev == nullptr) return Scope::kFunction;
+    if (prev->kind == TokKind::kPunct) {
+      return is_one_of(*prev, {")", "]", ";", "{", "}", ":"})
+                 ? Scope::kFunction
+                 : Scope::kInit;
+    }
+    return is_one_of(*prev, {"else", "do", "try", "mutable", "noexcept"})
+               ? Scope::kFunction
+               : Scope::kInit;
+  }
+  std::size_t i = begin;
+  if (i < brace && is_ident(toks[i], "template") && i + 1 < brace &&
+      is_punct(toks[i + 1], "<")) {
+    i = skip_template_args(toks, i + 1);
+    if (i == std::string_view::npos) return Scope::kInit;
+  }
+  if (i >= brace) return Scope::kInit;
+  if (is_ident(toks[i], "inline") && i + 1 < brace) ++i;  // inline namespace
+  if (is_ident(toks[i], "namespace") ||
+      (is_ident(toks[i], "extern") && i + 1 < brace &&
+       toks[i + 1].kind == TokKind::kString)) {
+    return Scope::kNamespace;
+  }
+  bool assigned = false, parens = false, colon_after_parens = false;
+  int nest = 0;
+  for (std::size_t j = i; j < brace; ++j) {
+    const Token& t = toks[j];
+    if (is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")) {
+      if (nest++ == 0 && is_punct(t, "(")) parens = true;
+    } else if (is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")) {
+      --nest;
+    } else if (nest == 0 && is_ident(t, "operator")) {
+      return Scope::kFunction;
+    } else if (nest == 0 && is_punct(t, "=")) {
+      assigned = true;
+    } else if (nest == 0 && parens && is_punct(t, ":")) {
+      colon_after_parens = true;
+    }
+  }
+  if (is_one_of(toks[i], {"class", "struct", "union", "enum"}) && !assigned) {
+    return Scope::kClass;
+  }
+  if (assigned || !parens) return Scope::kInit;
+  // `X::X() : member_{...}` braces initialize a member, not the body.
+  if (colon_after_parens && prev != nullptr &&
+      (is_punct(*prev, ">") ||
+       (prev->kind == TokKind::kIdent &&
+        !is_one_of(*prev, {"const", "noexcept", "override", "final"})))) {
+    return Scope::kInit;
+  }
+  return Scope::kFunction;
+}
+
+void check_statement(std::string_view path, const std::vector<Token>& toks,
+                     Scope scope, std::size_t begin, std::size_t end,
+                     std::vector<Finding>& out) {
+  if (begin >= end || scope == Scope::kInit) return;
+  const DeclPart d = decl_part(toks, begin, end);
+  if (d.tokens.empty()) return;
+  const char* what = nullptr;
+  if (scope == Scope::kNamespace) {
+    const Token& first = toks[d.tokens.front()];
+    if (is_one_of(first, {"using", "typedef", "template", "namespace",
+                          "static_assert", "friend", "class", "struct",
+                          "union", "enum", "concept"}) ||
+        first.kind != TokKind::kIdent) {
+      return;
+    }
+    what = "namespace-scope variable";
+  } else {
+    const bool is_static = std::any_of(
+        d.tokens.begin(), d.tokens.end(), [&](std::size_t k) {
+          return is_ident(toks[k], "static") ||
+                 is_ident(toks[k], "thread_local");
+        });
+    if (!is_static) return;
+    what = scope == Scope::kClass ? "static data member" : "static local";
+  }
+  if (!declares_mutable_variable(toks, d)) return;
+  const Token& name = toks[d.tokens.back()];
+  out.push_back({std::string(path), name.line, "shared-state",
+                 std::string("mutable ") + what + " `" + name.text +
+                     "`: every Simulation in the process shares it, so "
+                     "runs stop being independent; make it const/constexpr "
+                     "or move it into the object that owns the run"});
+}
+
+void rule_shared_state(std::string_view path, const std::vector<Token>& toks,
+                       std::vector<Finding>& out) {
+  struct Frame {
+    Scope scope;
+    std::size_t stmt;  ///< first token of the statement being read
+  };
+  std::vector<Frame> stack = {{Scope::kNamespace, 0}};
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (is_punct(t, ";")) {
+      check_statement(path, toks, stack.back().scope, stack.back().stmt, i,
+                      out);
+      stack.back().stmt = i + 1;
+    } else if (is_punct(t, "{")) {
+      const Scope opened =
+          classify_brace(toks, stack.back().scope, stack.back().stmt, i);
+      stack.push_back({opened, i + 1});
+    } else if (is_punct(t, "}") && stack.size() > 1) {
+      const Scope closed = stack.back().scope;
+      stack.pop_back();
+      // A class body or initializer is part of the enclosing declaration
+      // (`struct X {...} x;`, `int g{0};`); other bodies end a statement.
+      if (closed == Scope::kNamespace || closed == Scope::kFunction) {
+        stack.back().stmt = i + 1;
+      }
+    }
+  }
+}
+
 // ---- include layering ------------------------------------------------------
 
 const std::map<std::string, int, std::less<>>& ranks_table() {
@@ -466,6 +661,7 @@ std::vector<Finding> scan_source(std::string_view path, std::string_view text,
     std::string layer = opts.layer;
     if (directives.fixture_layer) layer = *directives.fixture_layer;
     rule_layering(path, lexed.includes, layer, raw);
+    rule_shared_state(path, lexed.tokens, raw);
   }
   if (!opts.rng_internals) rule_wall_clock(path, lexed.tokens, raw);
   rule_ptr_order(path, lexed.tokens, raw);

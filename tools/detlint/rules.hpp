@@ -1,6 +1,6 @@
 // detlint rules: the mechanized determinism contract (DESIGN.md §15).
 //
-// Four rules, each mapped to a clause of the DESIGN.md §2 contract:
+// Five rules, each mapped to a clause of the DESIGN.md §2 contract:
 //
 //   unordered-iter  No range-for / iterator loops over std::unordered_map /
 //                   std::unordered_set in src/ — hash-order iteration is the
@@ -21,6 +21,11 @@
 //                   → checkpoint/mapred/faults → audit/workload → experiment);
 //                   a layer may include itself, peers of the same rank, and
 //                   anything below — never above.
+//   shared-state    No process-global mutable state in src/: namespace-scope
+//                   variables, static locals and static data members must be
+//                   const or constexpr. Every piece of a run's state lives in
+//                   an object the run owns, so runs in one process (or on
+//                   separate threads) cannot see each other.
 //
 // Suppression: a finding is allowed only by an inline annotation
 //   // detlint: allow(<rule>) -- <justification>
@@ -48,7 +53,7 @@ struct Finding {
 
 /// What part of the tree a file belongs to; controls which rules run.
 enum class FileClass {
-  kSrc,    ///< src/** — all four rules
+  kSrc,    ///< src/** — all five rules
   kOther,  ///< bench/tests/examples — wall-clock + ptr-order only
 };
 
