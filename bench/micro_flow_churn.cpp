@@ -13,13 +13,17 @@
 // Both arms replay the identical deterministic workload (the solvers are
 // bit-equivalent, so the simulated schedules match event for event). The
 // bench exits non-zero unless the arms agree on completion and event counts
-// and on a hash of the (completion time, flow id) sequence. Emits
+// and on a hash of the (completion time, flow id) sequence, and unless
+// their `accrued_flows` differ: the dense arm accrues every live flow, the
+// incremental arm only moving ones, so equal counts mean the churn never
+// stalled a flow and the row measured nothing. Emits
 // BENCH_flow_churn.json with per-configuration wall times, the
 // incremental-arm speedup, and two exact work counters: `solved_flows`, the
 // flows the allocator re-solved (FlowNetwork::solved_flows), and
 // `accrued_flows`, the flows progress accrual visited
 // (FlowNetwork::accrued_flows).
 // MOON_BENCH_REPS controls repetitions (best-of).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -58,8 +62,9 @@ void fnv1a_fold(std::uint64_t& h, std::uint64_t v) {
 
 // One churn run: `nodes` nodes, 2 flows/node kept in flight (each completion
 // chains a replacement until the issue budget is spent), one availability
-// flip every 250 simulated ms while any flow is in flight (down nodes
-// recover after 2 s).
+// flip per 64 nodes every 250 simulated ms while any flow is in flight
+// (down nodes recover after 2 s). Scaling the flips with the node count
+// keeps the per-node churn rate fixed, so large clusters stall flows too.
 ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
                   bool batched_flips) {
   const auto wall_start = std::chrono::steady_clock::now();  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
@@ -112,9 +117,10 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
   };
   std::function<void()> churn = [&] {
     if (r.completions == issued) return;  // stop once every flow is done
-    const auto n = static_cast<std::size_t>(
-        churn_rng.uniform_int(0, static_cast<std::int64_t>(nodes - 1)));
-    if (up[n]) {
+    for (int i = 0; i < std::max(1, nodes / 64); ++i) {
+      const auto n = static_cast<std::size_t>(
+          churn_rng.uniform_int(0, static_cast<std::int64_t>(nodes - 1)));
+      if (!up[n]) continue;
       flip(n, false);
       simu.schedule_after(2 * sim::kSecond, [&, n] {
         if (!up[n]) flip(n, true);
@@ -170,6 +176,12 @@ int main() {
                   << inc.completions << " completions, hash " << std::hex
                   << dense.completion_hash << " vs " << inc.completion_hash
                   << std::dec << "\n";
+        return 1;
+      }
+      if (inc.accrued_flows == dense.accrued_flows) {
+        std::cerr << "FATAL: churn stalled no flow at " << nodes << " nodes ("
+                  << fairness << "): both arms accrued " << inc.accrued_flows
+                  << " flows\n";
         return 1;
       }
       const double speedup = dense.wall_ms / inc.wall_ms;

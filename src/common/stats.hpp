@@ -20,9 +20,6 @@ class Accumulator {
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Merges another accumulator (parallel-friendly Chan et al. update).
-  void merge(const Accumulator& other);
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -30,28 +27,6 @@ class Accumulator {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins. Used for availability profiles and latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_high(std::size_t bin) const;
-  /// Fraction of samples in `bin` (0 if empty histogram).
-  [[nodiscard]] double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Percentile over a copied, sorted sample set (exact, small-N use only).

@@ -79,7 +79,7 @@ std::int64_t NameNode::diff_against_journal() {
   // Replay the journal into an image and diff it against the live namespace
   // (the clients' cached view). Any mismatch means a real restart-from-
   // journal would have lost or invented durable state.
-  const recovery::NameNodeImage image = journal_->replay();
+  const recovery::NameNodeImage& image = journal_->replay();
   std::int64_t diverged = 0;
   for (const auto& [id, fi] : image) {
     auto it = files_.find(id);

@@ -10,18 +10,16 @@
 
 namespace moon::experiment {
 
-double jain_index(const std::vector<double>& samples) {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  std::size_t n = 0;
-  for (double x : samples) {
-    if (x <= 0.0) continue;
-    sum += x;
-    sum_sq += x * x;
-    ++n;
-  }
-  if (n == 0 || sum_sq == 0.0) return 1.0;
-  return (sum * sum) / (static_cast<double>(n) * sum_sq);
+void JainIndex::add(double x) {
+  if (!(x > 0.0)) return;
+  sum_ += x;
+  sum_sq_ += x * x;
+  ++n_;
+}
+
+double JainIndex::value() const {
+  if (n_ == 0 || sum_sq_ == 0.0) return 1.0;
+  return (sum_ * sum_) / (static_cast<double>(n_) * sum_sq_);
 }
 
 MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
@@ -68,17 +66,11 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
   // per-job snapshots are additionally kept. Percentiles come from a
   // bounded obs::Histogram reservoir; mean/Jain from exact running sums.
   obs::Histogram latencies(std::max<std::size_t>(config.latency_reservoir, 1));
-  double jain_sum = 0.0;
-  double jain_sum_sq = 0.0;
-  std::size_t jain_n = 0;
+  JainIndex jain;
   sim::Time last_end = 0;
   const auto fold_latency = [&](double latency_s) {
     latencies.record(latency_s);
-    if (latency_s > 0.0) {
-      jain_sum += latency_s;
-      jain_sum_sq += latency_s * latency_s;
-      ++jain_n;
-    }
+    jain.add(latency_s);
   };
   // Peak trackers sample at every admission/finish event plus end-of-run —
   // identical sample points in both retain modes (sampling reads state
@@ -263,10 +255,7 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
   result.mean_latency_s = latencies.mean();
   result.p95_latency_s = latencies.percentile(0.95);
   result.p99_latency_s = latencies.percentile(0.99);
-  if (jain_n > 0 && jain_sum_sq > 0.0) {
-    result.jain_fairness =
-        (jain_sum * jain_sum) / (static_cast<double>(jain_n) * jain_sum_sq);
-  }
+  result.jain_fairness = jain.value();
   if (last_end > 0 && !arrivals.empty()) {
     result.makespan_s = sim::to_seconds(last_end - arrivals.front().submit_at);
   }

@@ -18,6 +18,7 @@
 // the per-job snapshots.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -125,8 +126,17 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config);
 /// fingerprint(const RunResult&).
 std::string fingerprint(const MultiJobResult& result);
 
-/// Jain fairness index (sum x)^2 / (n * sum x^2) over positive samples;
-/// 1.0 for empty/degenerate input.
-double jain_index(const std::vector<double>& samples);
+/// Jain fairness index (sum x)^2 / (n * sum x^2) over positive samples,
+/// folded one sample at a time; 1.0 for empty/degenerate input.
+class JainIndex {
+ public:
+  void add(double x);
+  [[nodiscard]] double value() const;
+
+ private:
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
+  std::size_t n_ = 0;
+};
 
 }  // namespace moon::experiment

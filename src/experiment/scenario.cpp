@@ -115,9 +115,6 @@ Summary run_repetitions(ScenarioConfig config, int repetitions,
     summary.checkpoint_resumes.add(run.metrics.checkpoint_resumes);
     summary.checkpoint_salvaged.add(run.metrics.checkpoint_progress_salvaged);
     summary.scheduling_wall_ms.add(run.scheduling_wall_ms());
-    for (std::size_t k = 0; k < sim::Profiler::kKeyCount; ++k) {
-      summary.profile_ms[k].add(run.profile[k].ms());
-    }
     if (run.finished) ++summary.completed_runs;
   }
   return summary;

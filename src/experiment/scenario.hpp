@@ -12,7 +12,6 @@
 //                     never go down.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -129,7 +128,7 @@ struct RunCounters {
   // Master crash-recovery accounting (DESIGN.md §14; all zero unless
   // faults.master_crash is on — the goldens assert exactly that).
   std::int64_t journal_records = 0;      ///< NN+JT journal records appended
-  std::int64_t journal_snapshots = 0;    ///< snapshot folds taken
+  std::int64_t journal_snapshots = 0;    ///< image snapshots taken
   std::int64_t journal_divergences = 0;  ///< replay-vs-live diffs (must be 0)
   std::int64_t heartbeats_missed = 0;    ///< TT beats dropped while JT down
   std::int64_t reports_parked = 0;       ///< outcomes parked on attempts
@@ -196,8 +195,6 @@ struct Summary {
   Accumulator checkpoint_resumes;
   Accumulator checkpoint_salvaged;
   Accumulator scheduling_wall_ms;  ///< control-plane cost per run (measured)
-  /// Host wall-clock ms per profiled hot path, indexed by sim::Profiler::Key.
-  std::array<Accumulator, sim::Profiler::kKeyCount> profile_ms{};
   int completed_runs = 0;
   int total_runs = 0;
 };

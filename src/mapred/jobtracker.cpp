@@ -17,7 +17,6 @@ JobTracker::JobTracker(sim::Simulation& sim, cluster::Cluster& cluster,
       dfs_(dfs),
       config_(config),
       rng_(Rng{seed}.fork("jobtracker")),
-      phase_rng_(Rng{seed}.fork("heartbeat-phase")),
       checkpoint_policy_(config.checkpoint),
       checkpoint_store_(dfs, config.checkpoint),
       liveness_task_(sim, config.liveness_scan_interval, [this] { liveness_scan(); }),
@@ -75,18 +74,7 @@ void JobTracker::start() {
   std::sort(by_id.begin(), by_id.end(), [](TaskTracker* a, TaskTracker* b) {
     return a->node_id() < b->node_id();
   });
-  // kStaggered draws each tracker's phase offset here, in NodeId order, so
-  // the offsets (and hence the whole run) are reproducible under permuted
-  // registration too.
-  const bool staggered =
-      config_.heartbeat_phase == SchedulerConfig::HeartbeatPhase::kStaggered;
-  for (TaskTracker* tracker : by_id) {
-    sim::Duration first_beat = -1;
-    if (staggered && config_.heartbeat_interval > 0) {
-      first_beat = phase_rng_.uniform_int(0, config_.heartbeat_interval - 1);
-    }
-    tracker->start(first_beat);
-  }
+  for (TaskTracker* tracker : by_id) tracker->start();
   liveness_task_.start();
   completion_task_.start();
 }
@@ -126,6 +114,7 @@ void JobTracker::retire_job(JobId id) {
     throw std::logic_error("JobTracker: retiring unfinished job");
   }
   if (journal_ != nullptr) journal_->record_job_retired(id);
+  speculator_->forget(id);
   std::erase(jobs_by_order_, it->second.get());
   jobs_.erase(it);
   ++jobs_retired_;
@@ -377,7 +366,7 @@ void JobTracker::recover() {
 }
 
 std::int64_t JobTracker::diff_against_journal() const {
-  const recovery::JobTrackerImage image = journal_->replay();
+  const recovery::JobTrackerImage& image = journal_->replay();
   std::int64_t diverged = 0;
   for (const Job* job : jobs_by_order_) {
     auto it = image.find(job->id());

@@ -87,7 +87,7 @@ class JobTracker {
   [[nodiscard]] bool available() const { return up_; }
   /// Bumped on every recovery; trackers re-register when it moves.
   [[nodiscard]] int epoch() const { return epoch_; }
-  /// Installs the op journal (null = crash-recovery off, zero perturbation).
+  /// Installs the journal (null = crash-recovery off, zero perturbation).
   void set_journal(recovery::JobTrackerJournal* journal) { journal_ = journal; }
   [[nodiscard]] recovery::JobTrackerJournal* journal() { return journal_; }
   /// Fault-injector entry points: crash loses all soft state (tracker
@@ -162,6 +162,10 @@ class JobTracker {
   [[nodiscard]] const std::vector<TaskTracker*>& trackers() const {
     return tracker_ptrs_;
   }
+  /// The configured speculation policy.
+  [[nodiscard]] const SpeculationPolicy& speculator() const {
+    return *speculator_;
+  }
   /// Submitted jobs in submission order (metrics gauges iterate this).
   [[nodiscard]] const std::vector<Job*>& jobs_in_order() const {
     return jobs_by_order_;
@@ -192,10 +196,6 @@ class JobTracker {
   dfs::Dfs& dfs_;
   SchedulerConfig config_;
   Rng rng_;
-  /// Dedicated stream for kStaggered heartbeat offsets: drawing them from
-  /// rng_ would shift every later scheduling draw and silently change
-  /// kAligned-comparable state.
-  Rng phase_rng_;
 
   std::vector<std::unique_ptr<TaskTracker>> trackers_;
   std::vector<TaskTracker*> tracker_ptrs_;  ///< cached trackers() view

@@ -13,6 +13,7 @@
 // from further replication and from the homestretch).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -36,6 +37,12 @@ class SpeculationPolicy {
   /// nullopt if none qualifies.
   virtual std::optional<TaskId> pick(Job& job, TaskType type,
                                      TaskTracker& tracker) = 0;
+
+  /// Drops `job`'s candidate memos; the JobTracker calls it when the job
+  /// retires, so memo state stays O(live jobs) on open-ended streams.
+  virtual void forget(JobId job) = 0;
+  /// Memo entries held, across both task types.
+  [[nodiscard]] virtual std::size_t memo_entries() const = 0;
 
  protected:
   /// Memo key for tracker-independent candidate enumeration, valid for one
@@ -70,6 +77,13 @@ class HadoopSpeculator final : public SpeculationPolicy {
  public:
   explicit HadoopSpeculator(JobTracker& jobtracker) : jobtracker_(jobtracker) {}
   std::optional<TaskId> pick(Job& job, TaskType type, TaskTracker& tracker) override;
+  void forget(JobId job) override {
+    memo_[0].erase(job);
+    memo_[1].erase(job);
+  }
+  [[nodiscard]] std::size_t memo_entries() const override {
+    return memo_[0].size() + memo_[1].size();
+  }
 
  private:
   [[nodiscard]] bool is_straggler(Job& job, TaskId id, double average) const;
@@ -80,7 +94,7 @@ class HadoopSpeculator final : public SpeculationPolicy {
   };
   /// Per (task type, job): concurrent jobs alternate within a heartbeat
   /// burst (assign_work probes them in order), so a shared slot would
-  /// thrash. Entries are few (one per job ever probed) and tiny.
+  /// thrash. Entries are few (one per live job probed) and tiny.
   std::unordered_map<JobId, Memo> memo_[2];
 };
 
@@ -97,6 +111,13 @@ class LateSpeculator final : public SpeculationPolicy {
  public:
   explicit LateSpeculator(JobTracker& jobtracker) : jobtracker_(jobtracker) {}
   std::optional<TaskId> pick(Job& job, TaskType type, TaskTracker& tracker) override;
+  void forget(JobId job) override {
+    memo_[0].erase(job);
+    memo_[1].erase(job);
+  }
+  [[nodiscard]] std::size_t memo_entries() const override {
+    return memo_[0].size() + memo_[1].size();
+  }
 
   /// Estimated seconds until `task` completes at its current rate;
   /// +infinity for stalled tasks.
@@ -123,6 +144,13 @@ class MoonSpeculator final : public SpeculationPolicy {
  public:
   explicit MoonSpeculator(JobTracker& jobtracker) : jobtracker_(jobtracker) {}
   std::optional<TaskId> pick(Job& job, TaskType type, TaskTracker& tracker) override;
+  void forget(JobId job) override {
+    memos_[0].erase(job);
+    memos_[1].erase(job);
+  }
+  [[nodiscard]] std::size_t memo_entries() const override {
+    return memos_[0].size() + memos_[1].size();
+  }
 
   /// True when the job has entered the homestretch phase (§V-B).
   [[nodiscard]] bool in_homestretch(const Job& job) const;

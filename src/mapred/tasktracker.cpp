@@ -58,12 +58,8 @@ std::vector<TaskAttempt*> TaskTracker::all_attempts() const {
   return out;
 }
 
-void TaskTracker::start(sim::Duration first_beat_delay) {
-  if (first_beat_delay < 0) {
-    heartbeat_.start();
-  } else {
-    heartbeat_.start_after(first_beat_delay);
-  }
+void TaskTracker::start() {
+  heartbeat_.start();
   if (jobtracker_.config().checkpoint.enabled) checkpoint_task_.start();
 }
 

@@ -49,9 +49,9 @@ class TaskTracker {
   [[nodiscard]] const std::vector<TaskAttempt*>& attempts(TaskType type) const;
   [[nodiscard]] std::vector<TaskAttempt*> all_attempts() const;
 
-  /// Starts heartbeating. `first_beat_delay` < 0 (default) means one full
-  /// interval (aligned ticks); kStaggered passes a per-node phase offset.
-  void start(sim::Duration first_beat_delay = -1);
+  /// Starts heartbeating, first beat one full interval from now (every
+  /// tracker beats on the same ticks).
+  void start();
 
  private:
   void beat();

@@ -109,19 +109,6 @@ const char* to_string(AdmissionConfig::Policy policy);
 struct SchedulerConfig {
   sim::Duration heartbeat_interval = 3 * sim::kSecond;
 
-  /// Heartbeat phase across trackers. kAligned (default) starts every
-  /// tracker's heartbeat one full interval after start(): all trackers beat
-  /// on the same ticks — the regime the tick-memoized speculator paths are
-  /// tuned for, and the one every equivalence/golden suite runs. kStaggered
-  /// offsets each tracker's first beat by a deterministic seeded draw in
-  /// [0, interval), modelling de-synchronized real deployments. Caveat
-  /// (documented in DESIGN.md §11): staggering changes the heartbeat
-  /// arrival order and therefore the simulated schedule — runs are
-  /// bit-reproducible per (seed, config) and under permuted tracker
-  /// registration, but are NOT comparable with kAligned runs.
-  enum class HeartbeatPhase { kAligned, kStaggered };
-  HeartbeatPhase heartbeat_phase = HeartbeatPhase::kAligned;
-
   sim::Duration liveness_scan_interval = 10 * sim::kSecond;
 
   /// TrackerExpiryInterval: heartbeat gap after which a tracker is dead and

@@ -1,234 +1,103 @@
 #include "recovery/master_journal.hpp"
 
 namespace moon::recovery {
-namespace {
 
-// Modeled on-disk record framing: a fixed header plus payload. The exact
-// numbers only matter for the bytes_journaled gauge; they are chosen to be
-// in the ballpark of HDFS edit-log / JobTracker job-history record sizes.
-constexpr std::int64_t kRecordHeaderBytes = 24;
-
-}  // namespace
+// Record payload sizes model HDFS edit-log / JobTracker job-history records.
+// The exact numbers only matter for the bytes_journaled gauge.
 
 // ---- NameNodeJournal -------------------------------------------------------
-
-NameNodeJournal::NameNodeJournal(sim::Simulation& sim, JournalConfig config)
-    : sim_(sim),
-      config_(config),
-      snapshot_task_(sim, config.snapshot_interval, [this] { take_snapshot(); }) {}
-
-void NameNodeJournal::start() { snapshot_task_.start(); }
-
-void NameNodeJournal::append(Op op, std::int64_t bytes) {
-  ++stats_.records_appended;
-  stats_.bytes_journaled += kRecordHeaderBytes + bytes;
-  ops_.push_back(std::move(op));
-}
 
 void NameNodeJournal::record_create_file(FileId file, const std::string& name,
                                          dfs::FileKind kind,
                                          dfs::ReplicationFactor factor) {
-  Op op;
-  op.kind = Op::Kind::kCreateFile;
-  op.file = file;
-  op.name = name;
-  op.file_kind = kind;
-  op.factor = factor;
-  append(std::move(op), static_cast<std::int64_t>(name.size()) + 16);
+  charge(static_cast<std::int64_t>(name.size()) + 16);
+  FileImage f;
+  f.name = name;
+  f.kind = kind;
+  f.factor = factor;
+  image_[file] = std::move(f);
 }
 
 void NameNodeJournal::record_add_block(FileId file, BlockId block, Bytes size) {
-  Op op;
-  op.kind = Op::Kind::kAddBlock;
-  op.file = file;
-  op.block = block;
-  op.size = size;
-  append(std::move(op), 24);
+  charge(24);
+  image_[file].blocks.emplace_back(block, size);
 }
 
 void NameNodeJournal::record_convert_reliable(FileId file,
                                               dfs::ReplicationFactor factor) {
-  Op op;
-  op.kind = Op::Kind::kConvertReliable;
-  op.file = file;
-  op.factor = factor;
-  append(std::move(op), 16);
+  charge(16);
+  auto it = image_.find(file);
+  if (it != image_.end()) {
+    it->second.kind = dfs::FileKind::kReliable;
+    it->second.factor = factor;
+  }
 }
 
 void NameNodeJournal::record_complete_file(FileId file) {
-  Op op;
-  op.kind = Op::Kind::kCompleteFile;
-  op.file = file;
-  append(std::move(op), 8);
+  charge(8);
+  auto it = image_.find(file);
+  if (it != image_.end()) it->second.complete = true;
 }
 
 void NameNodeJournal::record_remove_file(FileId file) {
-  Op op;
-  op.kind = Op::Kind::kRemoveFile;
-  op.file = file;
-  append(std::move(op), 8);
+  charge(8);
+  image_.erase(file);
 }
 
-void NameNodeJournal::apply(NameNodeImage& image, const Op& op) {
-  switch (op.kind) {
-    case Op::Kind::kCreateFile: {
-      FileImage f;
-      f.name = op.name;
-      f.kind = op.file_kind;
-      f.factor = op.factor;
-      image[op.file] = std::move(f);
-      break;
-    }
-    case Op::Kind::kAddBlock:
-      image[op.file].blocks.emplace_back(op.block, op.size);
-      break;
-    case Op::Kind::kConvertReliable: {
-      auto it = image.find(op.file);
-      if (it != image.end()) {
-        it->second.kind = dfs::FileKind::kReliable;
-        it->second.factor = op.factor;
-      }
-      break;
-    }
-    case Op::Kind::kCompleteFile: {
-      auto it = image.find(op.file);
-      if (it != image.end()) it->second.complete = true;
-      break;
-    }
-    case Op::Kind::kRemoveFile:
-      image.erase(op.file);
-      break;
-  }
-}
-
-void NameNodeJournal::take_snapshot() {
-  for (const Op& op : ops_) apply(snapshot_, op);
-  ops_.clear();
-  ++stats_.snapshots_taken;
-  // A snapshot rewrites the whole image; charge ~64 bytes per file plus
-  // 16 per block entry.
+std::int64_t snapshot_bytes(const NameNodeImage& image) {
+  // ~64 bytes per file plus 16 per block entry.
   std::int64_t bytes = 0;
-  for (const auto& [id, f] : snapshot_) {
+  for (const auto& [id, f] : image) {
     bytes += 64 + static_cast<std::int64_t>(f.blocks.size()) * 16;
   }
-  stats_.bytes_journaled += bytes;
-}
-
-NameNodeImage NameNodeJournal::replay() {
-  ++stats_.replays;
-  NameNodeImage image = snapshot_;
-  for (const Op& op : ops_) apply(image, op);
-  return image;
+  return bytes;
 }
 
 // ---- JobTrackerJournal -----------------------------------------------------
 
-JobTrackerJournal::JobTrackerJournal(sim::Simulation& sim, JournalConfig config)
-    : sim_(sim),
-      config_(config),
-      snapshot_task_(sim, config.snapshot_interval, [this] { take_snapshot(); }) {}
-
-void JobTrackerJournal::start() { snapshot_task_.start(); }
-
-void JobTrackerJournal::append(Op op, std::int64_t bytes) {
-  ++stats_.records_appended;
-  stats_.bytes_journaled += kRecordHeaderBytes + bytes;
-  ops_.push_back(std::move(op));
-}
-
 void JobTrackerJournal::record_submit(JobId job, const std::string& name,
                                       int num_maps, int num_reduces) {
-  Op op;
-  op.kind = Op::Kind::kSubmit;
-  op.job = job;
-  op.name = name;
-  op.num_maps = num_maps;
-  op.num_reduces = num_reduces;
-  append(std::move(op), static_cast<std::int64_t>(name.size()) + 16);
+  charge(static_cast<std::int64_t>(name.size()) + 16);
+  JobImage j;
+  j.name = name;
+  j.num_maps = num_maps;
+  j.num_reduces = num_reduces;
+  image_[job] = std::move(j);
 }
 
 void JobTrackerJournal::record_task_completed(JobId job, TaskId task) {
-  Op op;
-  op.kind = Op::Kind::kTaskCompleted;
-  op.job = job;
-  op.task = task;
-  append(std::move(op), 16);
+  charge(16);
+  auto it = image_.find(job);
+  if (it != image_.end()) it->second.completed_tasks.insert(task);
 }
 
 void JobTrackerJournal::record_task_reverted(JobId job, TaskId task) {
-  Op op;
-  op.kind = Op::Kind::kTaskReverted;
-  op.job = job;
-  op.task = task;
-  append(std::move(op), 16);
+  charge(16);
+  auto it = image_.find(job);
+  if (it != image_.end()) it->second.completed_tasks.erase(task);
 }
 
 void JobTrackerJournal::record_job_finished(JobId job, bool completed) {
-  Op op;
-  op.kind = Op::Kind::kJobFinished;
-  op.job = job;
-  op.completed = completed;
-  append(std::move(op), 9);
+  charge(9);
+  auto it = image_.find(job);
+  if (it != image_.end()) {
+    it->second.finished = true;
+    it->second.completed = completed;
+  }
 }
 
 void JobTrackerJournal::record_job_retired(JobId job) {
-  Op op;
-  op.kind = Op::Kind::kJobRetired;
-  op.job = job;
-  append(std::move(op), 8);
+  charge(8);
+  image_.erase(job);
 }
 
-void JobTrackerJournal::apply(JobTrackerImage& image, const Op& op) {
-  switch (op.kind) {
-    case Op::Kind::kSubmit: {
-      JobImage j;
-      j.name = op.name;
-      j.num_maps = op.num_maps;
-      j.num_reduces = op.num_reduces;
-      image[op.job] = std::move(j);
-      break;
-    }
-    case Op::Kind::kTaskCompleted: {
-      auto it = image.find(op.job);
-      if (it != image.end()) it->second.completed_tasks.insert(op.task);
-      break;
-    }
-    case Op::Kind::kTaskReverted: {
-      auto it = image.find(op.job);
-      if (it != image.end()) it->second.completed_tasks.erase(op.task);
-      break;
-    }
-    case Op::Kind::kJobFinished: {
-      auto it = image.find(op.job);
-      if (it != image.end()) {
-        it->second.finished = true;
-        it->second.completed = op.completed;
-      }
-      break;
-    }
-    case Op::Kind::kJobRetired: {
-      image.erase(op.job);
-      break;
-    }
-  }
-}
-
-void JobTrackerJournal::take_snapshot() {
-  for (const Op& op : ops_) apply(snapshot_, op);
-  ops_.clear();
-  ++stats_.snapshots_taken;
+std::int64_t snapshot_bytes(const JobTrackerImage& image) {
+  // ~64 bytes per job plus 8 per completed task.
   std::int64_t bytes = 0;
-  for (const auto& [id, j] : snapshot_) {
+  for (const auto& [id, j] : image) {
     bytes += 64 + static_cast<std::int64_t>(j.completed_tasks.size()) * 8;
   }
-  stats_.bytes_journaled += bytes;
-}
-
-JobTrackerImage JobTrackerJournal::replay() {
-  ++stats_.replays;
-  JobTrackerImage image = snapshot_;
-  for (const Op& op : ops_) apply(image, op);
-  return image;
+  return bytes;
 }
 
 }  // namespace moon::recovery

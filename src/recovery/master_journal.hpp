@@ -2,16 +2,15 @@
 //
 // Each master keeps a write-ahead record of its durable decisions — the
 // NameNode's file/block namespace mutations, the JobTracker's job/task
-// lifecycle transitions — in an in-memory journal modeled on the PR-1
-// checkpoint store: a periodic snapshot folds the op log into a base image
-// and truncates it, so replay cost is bounded by churn since the last
-// snapshot, not by run length. The journal is modeled as local-disk edit
-// traffic (byte-accounted, not driven through the DFS flow network: a real
-// master journals to its own disk, and charging it to the data plane would
-// perturb every transfer).
+// lifecycle transitions — as one in-memory image. Every `record_*` call
+// folds into that image and charges a framed edit-log record; a periodic
+// snapshot charges a rewrite of the whole image. The journal is modeled as
+// local-disk edit traffic (byte-accounted, not driven through the DFS flow
+// network: a real master journals to its own disk, and charging it to the
+// data plane would perturb every transfer).
 //
-// On recovery the journal is replayed into an image and diffed against the
-// master's live durable state. The diff must be empty: a non-zero
+// On recovery the image is replayed and diffed against the master's live
+// durable state. The diff must be empty: a non-zero
 // `JournalStats::divergences` means recovery would have lost or invented
 // state — the failover bench and smoke gate on it.
 //
@@ -35,7 +34,7 @@
 namespace moon::recovery {
 
 struct JournalConfig {
-  /// Fold the op log into the snapshot image this often.
+  /// Charge a rewrite of the whole image this often.
   sim::Duration snapshot_interval = 60 * sim::kSecond;
 };
 
@@ -47,7 +46,7 @@ struct JournalStats {
   std::int64_t divergences = 0;  ///< replay-vs-live mismatches (must stay 0)
 };
 
-// ---- NameNode image --------------------------------------------------------
+// ---- Images ------------------------------------------------------------------
 
 struct FileImage {
   std::string name;
@@ -62,59 +61,6 @@ struct FileImage {
 /// from DataNode block reports, never journaled (HDFS semantics).
 using NameNodeImage = std::map<FileId, FileImage>;
 
-class NameNodeJournal {
- public:
-  explicit NameNodeJournal(sim::Simulation& sim, JournalConfig config = {});
-
-  /// Starts the periodic snapshot task.
-  void start();
-
-  void record_create_file(FileId file, const std::string& name,
-                          dfs::FileKind kind, dfs::ReplicationFactor factor);
-  void record_add_block(FileId file, BlockId block, Bytes size);
-  void record_convert_reliable(FileId file, dfs::ReplicationFactor factor);
-  void record_complete_file(FileId file);
-  void record_remove_file(FileId file);
-
-  /// Snapshot + op log folded into one image (the recovered namespace).
-  [[nodiscard]] NameNodeImage replay();
-
-  [[nodiscard]] const JournalStats& stats() const { return stats_; }
-  void add_divergences(std::int64_t n) { stats_.divergences += n; }
-  [[nodiscard]] std::size_t oplog_length() const { return ops_.size(); }
-
- private:
-  struct Op {
-    enum class Kind {
-      kCreateFile,
-      kAddBlock,
-      kConvertReliable,
-      kCompleteFile,
-      kRemoveFile,
-    };
-    Kind kind;
-    FileId file;
-    BlockId block;
-    Bytes size = 0;
-    std::string name;
-    dfs::FileKind file_kind = dfs::FileKind::kOpportunistic;
-    dfs::ReplicationFactor factor;
-  };
-
-  void append(Op op, std::int64_t bytes);
-  void take_snapshot();
-  static void apply(NameNodeImage& image, const Op& op);
-
-  sim::Simulation& sim_;
-  JournalConfig config_;
-  NameNodeImage snapshot_;
-  std::vector<Op> ops_;
-  JournalStats stats_;
-  sim::PeriodicTask snapshot_task_;
-};
-
-// ---- JobTracker image ------------------------------------------------------
-
 struct JobImage {
   std::string name;
   int num_maps = 0;
@@ -126,11 +72,62 @@ struct JobImage {
 
 using JobTrackerImage = std::map<JobId, JobImage>;
 
-class JobTrackerJournal {
- public:
-  explicit JobTrackerJournal(sim::Simulation& sim, JournalConfig config = {});
+/// Bytes a snapshot rewrite of `image` charges.
+std::int64_t snapshot_bytes(const NameNodeImage& image);
+std::int64_t snapshot_bytes(const JobTrackerImage& image);
 
-  void start();
+/// What both masters' journals share: the image, the byte accounting and
+/// the periodic snapshot task.
+template <class Image>
+class MasterJournal {
+ public:
+  explicit MasterJournal(sim::Simulation& sim, JournalConfig config = {})
+      : snapshot_task_(sim, config.snapshot_interval, [this] {
+          ++stats_.snapshots_taken;
+          stats_.bytes_journaled += snapshot_bytes(image_);
+        }) {}
+
+  /// Starts the periodic snapshot task.
+  void start() { snapshot_task_.start(); }
+
+  /// The recovered image.
+  [[nodiscard]] const Image& replay() {
+    ++stats_.replays;
+    return image_;
+  }
+
+  [[nodiscard]] const JournalStats& stats() const { return stats_; }
+  void add_divergences(std::int64_t n) { stats_.divergences += n; }
+
+ protected:
+  /// Charges one record: a fixed 24-byte header plus `payload` bytes.
+  void charge(std::int64_t payload) {
+    ++stats_.records_appended;
+    stats_.bytes_journaled += 24 + payload;
+  }
+
+  Image image_;
+
+ private:
+  JournalStats stats_;
+  sim::PeriodicTask snapshot_task_;
+};
+
+class NameNodeJournal : public MasterJournal<NameNodeImage> {
+ public:
+  using MasterJournal::MasterJournal;
+
+  void record_create_file(FileId file, const std::string& name,
+                          dfs::FileKind kind, dfs::ReplicationFactor factor);
+  void record_add_block(FileId file, BlockId block, Bytes size);
+  void record_convert_reliable(FileId file, dfs::ReplicationFactor factor);
+  void record_complete_file(FileId file);
+  void record_remove_file(FileId file);
+};
+
+class JobTrackerJournal : public MasterJournal<JobTrackerImage> {
+ public:
+  using MasterJournal::MasterJournal;
 
   void record_submit(JobId job, const std::string& name, int num_maps,
                      int num_reduces);
@@ -138,45 +135,10 @@ class JobTrackerJournal {
   void record_task_reverted(JobId job, TaskId task);
   void record_job_finished(JobId job, bool completed);
   /// Finished job garbage-collected from the live table (DESIGN.md §16):
-  /// replay erases it from the image, so a recovered master is not diffed
-  /// against jobs the live state deliberately dropped — and the journal
-  /// image stays O(live jobs) over open-ended streams.
+  /// erased from the image, so a recovered master is not diffed against
+  /// jobs the live state deliberately dropped — and the image stays
+  /// O(live jobs) over open-ended streams.
   void record_job_retired(JobId job);
-
-  [[nodiscard]] JobTrackerImage replay();
-
-  [[nodiscard]] const JournalStats& stats() const { return stats_; }
-  void add_divergences(std::int64_t n) { stats_.divergences += n; }
-  [[nodiscard]] std::size_t oplog_length() const { return ops_.size(); }
-
- private:
-  struct Op {
-    enum class Kind {
-      kSubmit,
-      kTaskCompleted,
-      kTaskReverted,
-      kJobFinished,
-      kJobRetired,
-    };
-    Kind kind;
-    JobId job;
-    TaskId task;
-    std::string name;
-    int num_maps = 0;
-    int num_reduces = 0;
-    bool completed = false;
-  };
-
-  void append(Op op, std::int64_t bytes);
-  void take_snapshot();
-  static void apply(JobTrackerImage& image, const Op& op);
-
-  sim::Simulation& sim_;
-  JournalConfig config_;
-  JobTrackerImage snapshot_;
-  std::vector<Op> ops_;
-  JournalStats stats_;
-  sim::PeriodicTask snapshot_task_;
 };
 
 }  // namespace moon::recovery

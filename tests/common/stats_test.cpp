@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace moon {
 namespace {
 
@@ -43,74 +41,6 @@ TEST(Accumulator, NegativeValues) {
   acc.add(3.0);
   EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
   EXPECT_DOUBLE_EQ(acc.min(), -3.0);
-}
-
-TEST(Accumulator, MergeMatchesSequential) {
-  Accumulator whole, left, right;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    whole.add(x);
-    (i < 25 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmptySides) {
-  Accumulator a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  Accumulator b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-  EXPECT_EQ(b.count(), 2u);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(Histogram, CountsFallInCorrectBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bin 0
-  h.add(3.9);   // bin 1
-  h.add(5.0);   // bin 2 (left-closed)
-  h.add(9.99);  // bin 4
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(3), 0u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-}
-
-TEST(Histogram, Fractions) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  EXPECT_NEAR(h.fraction(0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.fraction(1), 1.0 / 3.0, 1e-12);
 }
 
 TEST(Percentile, Empty) { EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0); }

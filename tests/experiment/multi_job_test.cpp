@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace moon::experiment {
 namespace {
 
@@ -129,14 +131,22 @@ TEST(MultiJobHarness, StreamMetricsAggregateAcrossJobs) {
   EXPECT_GE(result.makespan_s, max_latency);
 }
 
+double jain_of(std::initializer_list<double> samples) {
+  JainIndex jain;
+  for (double x : samples) jain.add(x);
+  return jain.value();
+}
+
 TEST(JainIndex, MatchesClosedForm) {
-  EXPECT_DOUBLE_EQ(jain_index({}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_index({5.0}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_index({2.0, 2.0, 2.0, 2.0}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_of({}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_of({5.0}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_of({2.0, 2.0, 2.0, 2.0}), 1.0);
   // (1+3)^2 / (2 * (1+9)) = 16/20.
-  EXPECT_DOUBLE_EQ(jain_index({1.0, 3.0}), 0.8);
+  EXPECT_DOUBLE_EQ(jain_of({1.0, 3.0}), 0.8);
+  // Non-positive samples (unfinished jobs) are skipped.
+  EXPECT_DOUBLE_EQ(jain_of({1.0, 0.0, 3.0, -2.0}), 0.8);
   // One job absorbing all the delay drives the index toward 1/n.
-  EXPECT_NEAR(jain_index({100.0, 1e-6, 1e-6, 1e-6}), 0.25, 1e-3);
+  EXPECT_NEAR(jain_of({100.0, 1e-6, 1e-6, 1e-6}), 0.25, 1e-3);
 }
 
 }  // namespace
