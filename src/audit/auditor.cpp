@@ -31,7 +31,7 @@ std::vector<Violation> Auditor::run() {
     check_mapred(out);
     check_checkpoints(out);
   }
-  // blocks_/node_blocks_ walks follow hash order; sort so reports are stable.
+  // One canonical order for the findings of all the walks.
   std::sort(out.begin(), out.end());
   ++passes_;
   violations_total_ += static_cast<std::int64_t>(out.size());
@@ -49,8 +49,9 @@ void Auditor::check_dfs(std::vector<Violation>& out) {
   auto& nn = dfs_->namenode();
   // Forward: every NameNode replica entry is mirrored in the half of the
   // reverse index that matches its file's kind, and is physically present
-  // on the DataNode. Hash-order walks are fine: run() sorts the report.
-  for (const auto& [id, meta] : nn.all_blocks()) {
+  // on the DataNode.
+  for (const dfs::BlockMeta& meta : nn.all_blocks()) {
+    const BlockId id = meta.id;
     const FileKind kind = nn.file(meta.file).kind;
     for (auto r = meta.replicas.begin(); r != meta.replicas.end(); ++r) {
       const NodeId n = *r;
@@ -61,7 +62,7 @@ void Auditor::check_dfs(std::vector<Violation>& out) {
         continue;
       }
       const auto* bucket = nn.blocks_on(n);
-      if (bucket == nullptr || !bucket->of(kind).contains(id)) {
+      if (bucket == nullptr || !dfs::sorted_contains(bucket->of(kind), id)) {
         out.push_back({"dfs.replica-consistency",
                        "block " + block_str(id) + " replica on node " +
                            node_str(n) + " missing from the " +
@@ -84,7 +85,7 @@ void Auditor::check_dfs(std::vector<Violation>& out) {
     for (FileKind kind : {FileKind::kOpportunistic, FileKind::kReliable}) {
       const bool check_disjoint = kind == FileKind::kOpportunistic;
       for (BlockId b : bucket->of(kind)) {
-        if (check_disjoint && bucket->reliable.contains(b)) {
+        if (check_disjoint && dfs::sorted_contains(bucket->reliable, b)) {
           out.push_back({"dfs.replica-consistency",
                          "block " + block_str(b) +
                              " in both reverse-index halves of node " +
@@ -106,10 +107,10 @@ void Auditor::check_dfs(std::vector<Violation>& out) {
     }
   }
   // Adaptive index: exactly the files whose volatile requirement is raised.
-  for (const auto& [id, meta] : nn.all_files()) {
-    if ((meta.adaptive_volatile != 0) != nn.adaptive_files().contains(id)) {
+  for (const dfs::FileMeta& meta : nn.all_files()) {
+    if ((meta.adaptive_volatile != 0) != nn.adaptive_files().contains(meta.id)) {
       out.push_back({"dfs.adaptive-index",
-                     "file " + std::to_string(id.value()) + " adaptive v " +
+                     "file " + std::to_string(meta.id.value()) + " adaptive v " +
                          std::to_string(meta.adaptive_volatile) +
                          " disagrees with the adaptive index"});
     }

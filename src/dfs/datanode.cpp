@@ -1,8 +1,5 @@
 #include "dfs/datanode.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace moon::dfs {
 
 DataNode::DataNode(sim::Simulation& sim, sim::FlowNetwork& net, cluster::Node& host,
@@ -21,7 +18,7 @@ void DataNode::start() {
 }
 
 void DataNode::store_block(BlockId block, Bytes size) {
-  if (blocks_.insert(block).second) stored_bytes_ += size;
+  if (sorted_insert(blocks_, block)) stored_bytes_ += size;
   corrupted_.erase(block);  // fresh bytes replace any corrupted replica
   // With the NameNode down, the bytes still land but the commit is lost
   // soft state — the post-recovery block report reconciles it.
@@ -29,13 +26,13 @@ void DataNode::store_block(BlockId block, Bytes size) {
 }
 
 void DataNode::drop_block(BlockId block, Bytes size) {
-  if (blocks_.erase(block) > 0) stored_bytes_ -= size;
+  if (sorted_erase(blocks_, block)) stored_bytes_ -= size;
   corrupted_.erase(block);
   if (namenode_.available()) namenode_.drop_replica(block, host_.id());
 }
 
 void DataNode::mark_corrupted(BlockId block) {
-  if (blocks_.contains(block)) corrupted_.insert(block);
+  if (stores(block)) corrupted_.insert(block);
 }
 
 void DataNode::beat() {
@@ -75,9 +72,7 @@ double DataNode::current_bandwidth() {
 
 void DataNode::send_block_report() {
   if (!namenode_.available()) return;
-  std::vector<BlockId> report(blocks_.begin(), blocks_.end());
-  std::sort(report.begin(), report.end());
-  namenode_.handle_block_report(host_.id(), report, current_bandwidth());
+  namenode_.handle_block_report(host_.id(), blocks_, current_bandwidth());
   registered_epoch_ = namenode_.epoch();
 }
 

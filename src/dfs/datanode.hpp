@@ -8,6 +8,7 @@
 #pragma once
 
 #include <unordered_set>
+#include <vector>
 
 #include "cluster/node.hpp"
 #include "common/ids.hpp"
@@ -29,7 +30,9 @@ class DataNode {
   [[nodiscard]] NodeId node_id() const { return host_.id(); }
   [[nodiscard]] cluster::Node& host() { return host_; }
 
-  [[nodiscard]] bool stores(BlockId block) const { return blocks_.contains(block); }
+  [[nodiscard]] bool stores(BlockId block) const {
+    return sorted_contains(blocks_, block);
+  }
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
   [[nodiscard]] Bytes stored_bytes() const { return stored_bytes_; }
 
@@ -65,7 +68,7 @@ class DataNode {
   sim::FlowNetwork& net_;
   cluster::Node& host_;
   NameNode& namenode_;
-  std::unordered_set<BlockId> blocks_;
+  std::vector<BlockId> blocks_;  ///< sorted; sent as-is in block reports
   std::unordered_set<BlockId> corrupted_;
   Bytes stored_bytes_ = 0;
   double last_reported_transferred_ = 0.0;

@@ -1,6 +1,11 @@
-// File and block metadata held by the NameNode.
+// File and block metadata held by the NameNode, and the id-indexed tables
+// and sorted block lists that store it.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <deque>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -44,5 +49,72 @@ struct FileMeta {
                                                      : factor.volatile_count;
   }
 };
+
+/// Metadata indexed by id. An `IdAllocator` hands ids out densely from 0,
+/// so the entry for id i lives in slot i. A slot is live iff its `id` is
+/// valid; `erase` leaves a default (invalid-id) tombstone and ids are never
+/// reused. The deque keeps references to entries valid across `add`.
+template <typename IdT, typename Meta>
+class IdTable {
+ public:
+  /// Appends the entry for `id`, which must be the next id allocated.
+  Meta& add(IdT id) {
+    assert(id.value() == slots_.size());
+    Meta& meta = slots_.emplace_back();
+    meta.id = id;
+    return meta;
+  }
+  void erase(IdT id) { slots_[id.value()] = Meta{}; }
+
+  [[nodiscard]] bool contains(IdT id) const {
+    return id.value() < slots_.size() && slots_[id.value()].id.valid();
+  }
+  /// The live entry for `id`, or nullptr.
+  [[nodiscard]] Meta* find(IdT id) {
+    return contains(id) ? &slots_[id.value()] : nullptr;
+  }
+  [[nodiscard]] const Meta* find(IdT id) const {
+    return contains(id) ? &slots_[id.value()] : nullptr;
+  }
+
+  /// Live entries in id order.
+  [[nodiscard]] auto live() { return slots_ | std::views::filter(&is_live); }
+  [[nodiscard]] auto live() const {
+    return slots_ | std::views::filter(&is_live);
+  }
+
+ private:
+  static bool is_live(const Meta& meta) { return meta.id.valid(); }
+
+  std::deque<Meta> slots_;
+};
+
+// A BlockId list kept sorted: the NameNode's reverse-index buckets and a
+// DataNode's stored blocks. Block ids are handed out in increasing order,
+// so most inserts append.
+
+inline bool sorted_contains(const std::vector<BlockId>& list, BlockId b) {
+  return std::binary_search(list.begin(), list.end(), b);
+}
+
+/// Inserts `b` unless present; returns whether it did.
+inline bool sorted_insert(std::vector<BlockId>& list, BlockId b) {
+  if (list.empty() || list.back() < b) {
+    list.push_back(b);
+    return true;
+  }
+  auto it = std::lower_bound(list.begin(), list.end(), b);
+  if (*it == b) return false;
+  list.insert(it, b);
+  return true;
+}
+
+/// Removes `b` if present; returns whether it did.
+inline bool sorted_erase(std::vector<BlockId>& list, BlockId b) {
+  auto it = std::lower_bound(list.begin(), list.end(), b);
+  if (it == list.end() || *it != b) return false;
+  list.erase(it);
+  return true;
+}
 
 }  // namespace moon::dfs

@@ -36,22 +36,18 @@ void NameNode::crash() {
   // Replica locations are soft state: wipe them in BlockId order so the
   // removal events the scheduler's locality indices hang off fire in a
   // reproducible sequence.
-  std::vector<BlockId> ids;
-  ids.reserve(blocks_.size());
-  for (const auto& [id, meta] : blocks_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before replica notifications fire
-  std::sort(ids.begin(), ids.end());
-  for (BlockId b : ids) {
-    auto& meta = blocks_.at(b);
-    for (NodeId n : meta.replicas) notify_replica(b, n, /*added=*/false);
+  for (BlockMeta& meta : blocks_.live()) {
+    for (NodeId n : meta.replicas) notify_replica(meta.id, n, /*added=*/false);
     meta.replicas.clear();
   }
-  // detlint: allow(unordered-iter) -- clears every bucket unconditionally; no per-element effect escapes the loop
-  for (auto& [node, bucket] : node_blocks_) bucket = {};
+  for (NodeBlocks& bucket : node_blocks_) bucket = {};
   live_dedicated_.clear();
   live_volatile_.clear();
   // The liveness view is forgotten wholesale. No state listeners fire: the
   // nodes did not change, the master's knowledge of them did.
-  for (auto& [node, info] : datanodes_) info.state = DataNodeState::kDead;
+  for (auto& info : datanodes_) {
+    if (info) info->state = DataNodeState::kDead;
+  }
   replication_queue_.clear();
   while (!reliable_queue_.empty()) reliable_queue_.pop();
   queued_.clear();
@@ -82,12 +78,12 @@ std::int64_t NameNode::diff_against_journal() {
   const recovery::NameNodeImage& image = journal_->replay();
   std::int64_t diverged = 0;
   for (const auto& [id, fi] : image) {
-    auto it = files_.find(id);
-    if (it == files_.end()) {
+    const FileMeta* found = files_.find(id);
+    if (found == nullptr) {
       ++diverged;
       continue;
     }
-    const FileMeta& live = it->second;
+    const FileMeta& live = *found;
     if (live.kind != fi.kind || live.complete != fi.complete ||
         !(live.factor == fi.factor) ||
         live.blocks.size() != fi.blocks.size()) {
@@ -96,17 +92,15 @@ std::int64_t NameNode::diff_against_journal() {
     }
     for (std::size_t i = 0; i < fi.blocks.size(); ++i) {
       const auto& [bid, bytes] = fi.blocks[i];
-      auto bit = blocks_.find(bid);
-      if (live.blocks[i] != bid || bit == blocks_.end() ||
-          bit->second.size != bytes) {
+      const BlockMeta* block = blocks_.find(bid);
+      if (live.blocks[i] != bid || block == nullptr || block->size != bytes) {
         ++diverged;
         break;
       }
     }
   }
-  // detlint: allow(unordered-iter) -- pure integer accumulation; the count is order-independent
-  for (const auto& [id, meta] : files_) {
-    if (!image.contains(id)) ++diverged;
+  for (const FileMeta& meta : files_.live()) {
+    if (!image.contains(meta.id)) ++diverged;
   }
   return diverged;
 }
@@ -115,16 +109,13 @@ void NameNode::handle_block_report(NodeId node,
                                    const std::vector<BlockId>& report,
                                    double reported_bandwidth) {
   if (!up_) return;
-  auto it = datanodes_.find(node);
-  if (it == datanodes_.end()) {
-    register_datanode(node);
-    it = datanodes_.find(node);
+  if (info_of(node) == nullptr) register_datanode(node);
+  DataNodeInfo& info = *info_of(node);
+  info.last_heartbeat = sim_.now();
+  if (info.dedicated && config_.throttling_enabled) {
+    info.throttle.update(reported_bandwidth);
   }
-  it->second.last_heartbeat = sim_.now();
-  if (it->second.dedicated && config_.throttling_enabled) {
-    it->second.throttle.update(reported_bandwidth);
-  }
-  if (it->second.state != DataNodeState::kLive) {
+  if (info.state != DataNodeState::kLive) {
     set_state(node, DataNodeState::kLive);
   }
   for (BlockId b : report) {
@@ -143,12 +134,8 @@ void NameNode::finish_recovery() {
   for (FileId f : removals) remove_file(f);
   // Every block still short of its factor after the re-registration storm
   // re-enters the normal repair queue, in BlockId order.
-  std::vector<BlockId> ids;
-  ids.reserve(blocks_.size());
-  for (const auto& [id, meta] : blocks_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before the repair queue is refilled
-  std::sort(ids.begin(), ids.end());
-  for (BlockId b : ids) {
-    if (!block_meets_factor(b)) enqueue_replication(b);
+  for (const BlockMeta& meta : blocks_.live()) {
+    if (!block_meets_factor(meta.id)) enqueue_replication(meta.id);
   }
 }
 
@@ -156,14 +143,20 @@ void NameNode::register_datanode(NodeId node) {
   DataNodeInfo info{DataNodeState::kLive, sim_.now(),
                     ThrottleState{config_.throttle_window, config_.throttle_threshold},
                     cluster_.node(node).dedicated()};
-  if (!datanodes_.contains(node) && !info.dedicated) ++volatile_registered_;
-  datanodes_.insert_or_assign(node, std::move(info));
-  node_blocks_.try_emplace(node);
+  if (info_of(node) == nullptr && !info.dedicated) ++volatile_registered_;
+  if (node.value() >= datanodes_.size()) datanodes_.resize(node.value() + 1);
+  datanodes_[node.value()] = std::move(info);
+  bucket_of(node);  // blocks_on() is non-null for every registered node
   update_live_partition(node);
 }
 
+NameNode::NodeBlocks& NameNode::bucket_of(NodeId node) {
+  if (node.value() >= node_blocks_.size()) node_blocks_.resize(node.value() + 1);
+  return node_blocks_[node.value()];
+}
+
 void NameNode::update_live_partition(NodeId node) {
-  const auto& info = datanodes_.at(node);
+  const DataNodeInfo& info = *info_of(node);
   auto& mine = info.dedicated ? live_dedicated_ : live_volatile_;
   if (info.state == DataNodeState::kLive) {
     mine.insert(node);
@@ -174,34 +167,35 @@ void NameNode::update_live_partition(NodeId node) {
 
 void NameNode::heartbeat(NodeId node, double reported_bandwidth) {
   if (!up_) return;  // lost on the wire; DataNodes gate on available() anyway
-  auto it = datanodes_.find(node);
-  if (it == datanodes_.end()) throw std::logic_error("NameNode: unregistered datanode");
-  it->second.last_heartbeat = sim_.now();
-  if (it->second.dedicated && config_.throttling_enabled) {
-    it->second.throttle.update(reported_bandwidth);
+  DataNodeInfo* info = info_of(node);
+  if (info == nullptr) throw std::logic_error("NameNode: unregistered datanode");
+  info->last_heartbeat = sim_.now();
+  if (info->dedicated && config_.throttling_enabled) {
+    info->throttle.update(reported_bandwidth);
   }
-  if (it->second.state != DataNodeState::kLive) {
+  if (info->state != DataNodeState::kLive) {
     set_state(node, DataNodeState::kLive);
   }
 }
 
 DataNodeState NameNode::state_of(NodeId node) const {
-  auto it = datanodes_.find(node);
-  if (it == datanodes_.end()) throw std::logic_error("NameNode: unregistered datanode");
-  return it->second.state;
+  const DataNodeInfo* info = info_of(node);
+  if (info == nullptr) throw std::logic_error("NameNode: unregistered datanode");
+  return info->state;
 }
 
 bool NameNode::is_saturated(NodeId dedicated_node) const {
-  auto it = datanodes_.find(dedicated_node);
-  if (it == datanodes_.end() || !it->second.dedicated) return false;
+  const DataNodeInfo* info = info_of(dedicated_node);
+  if (info == nullptr || !info->dedicated) return false;
   if (!config_.throttling_enabled) return false;
-  return it->second.throttle.throttled();
+  return info->throttle.throttled();
 }
 
 bool NameNode::all_dedicated_saturated() const {
   for (NodeId id : live_dedicated_) {
-    const auto& info = datanodes_.at(id);
-    if (!config_.throttling_enabled || !info.throttle.throttled()) return false;
+    if (!config_.throttling_enabled || !info_of(id)->throttle.throttled()) {
+      return false;
+    }
   }
   // Either every live dedicated node is throttled, or none is live at all;
   // both mean "cannot take dedicated writes right now".
@@ -212,15 +206,17 @@ void NameNode::liveness_scan() {
   if (!up_) return;  // a crashed master scans nothing
   sim::Profiler::Scope profile(sim_.profiler(), sim::Profiler::Key::kNameNodeSweep);
   const sim::Time now = sim_.now();
-  // datanodes_ is NodeId-ordered: expiring nodes die in id order, so the
-  // replication-queue enqueue sequence their deaths trigger is reproducible
-  // regardless of registration order.
-  for (auto& [id, info] : datanodes_) {
-    const sim::Duration gap = now - info.last_heartbeat;
-    if (info.state == DataNodeState::kDead) continue;
+  // datanodes_ is indexed by NodeId: expiring nodes die in id order, so
+  // the replication-queue enqueue sequence their deaths trigger is
+  // reproducible regardless of registration order.
+  for (std::size_t i = 0; i < datanodes_.size(); ++i) {
+    if (!datanodes_[i] || datanodes_[i]->state == DataNodeState::kDead) continue;
+    const NodeId id{i};
+    const DataNodeState state = datanodes_[i]->state;
+    const sim::Duration gap = now - datanodes_[i]->last_heartbeat;
     if (gap > config_.expiry_interval) {
       set_state(id, DataNodeState::kDead);
-    } else if (config_.hibernate_enabled && info.state == DataNodeState::kLive &&
+    } else if (config_.hibernate_enabled && state == DataNodeState::kLive &&
                gap > config_.hibernate_interval) {
       set_state(id, DataNodeState::kHibernated);
     }
@@ -245,7 +241,7 @@ void NameNode::estimate_scan() {
 }
 
 void NameNode::set_state(NodeId node, DataNodeState next) {
-  auto& info = datanodes_.at(node);
+  DataNodeInfo& info = *info_of(node);
   const DataNodeState prev = info.state;
   if (prev == next) return;
   info.state = next;
@@ -267,10 +263,10 @@ void NameNode::on_node_dead(NodeId node) {
   // Merge-walking the two BlockId-ordered halves of the bucket enqueues in
   // id order (§2 determinism contract) without snapshotting; the enqueue
   // only touches the queue structures, never the bucket being walked.
-  auto it = node_blocks_.find(node);
-  if (it == node_blocks_.end()) return;
-  const std::set<BlockId>& opp = it->second.opportunistic;
-  const std::set<BlockId>& rel = it->second.reliable;
+  const NodeBlocks* bucket = blocks_on(node);
+  if (bucket == nullptr) return;
+  const std::vector<BlockId>& opp = bucket->opportunistic;
+  const std::vector<BlockId>& rel = bucket->reliable;
   auto o = opp.begin();
   auto r = rel.begin();
   while (o != opp.end() || r != rel.end()) {
@@ -282,9 +278,9 @@ void NameNode::on_node_dead(NodeId node) {
 void NameNode::on_node_hibernated(NodeId node) {
   // §IV-C: "only opportunistic files without dedicated replicas will be
   // re-replicated" when a node hibernates.
-  auto it = node_blocks_.find(node);
-  if (it == node_blocks_.end()) return;
-  for (BlockId b : it->second.opportunistic) {
+  const NodeBlocks* bucket = blocks_on(node);
+  if (bucket == nullptr) return;
+  for (BlockId b : bucket->opportunistic) {
     if (live_replicas(b).dedicated > 0) continue;
     if (!block_meets_factor(b)) enqueue_replication(b);
   }
@@ -301,28 +297,26 @@ FileId NameNode::create_file(std::string name, FileKind kind,
     if (config_.adaptive_replication) factor.dedicated = 1;
   }
   const FileId id = file_ids_.next();
-  FileMeta meta;
-  meta.id = id;
+  FileMeta& meta = files_.add(id);
   meta.name = std::move(name);
   meta.kind = kind;
   meta.factor = factor;
   if (journal_ != nullptr) {
     journal_->record_create_file(id, meta.name, kind, factor);
   }
-  files_.emplace(id, std::move(meta));
   return id;
 }
 
 const FileMeta& NameNode::file(FileId id) const {
-  auto it = files_.find(id);
-  if (it == files_.end()) throw std::out_of_range("NameNode: unknown file");
-  return it->second;
+  const FileMeta* meta = files_.find(id);
+  if (meta == nullptr) throw std::out_of_range("NameNode: unknown file");
+  return *meta;
 }
 
 FileMeta& NameNode::file_mutable(FileId id) {
-  auto it = files_.find(id);
-  if (it == files_.end()) throw std::out_of_range("NameNode: unknown file");
-  return it->second;
+  FileMeta* meta = files_.find(id);
+  if (meta == nullptr) throw std::out_of_range("NameNode: unknown file");
+  return *meta;
 }
 
 bool NameNode::file_exists(FileId id) const { return files_.contains(id); }
@@ -335,11 +329,11 @@ void NameNode::convert_to_reliable(FileId id) {
   adaptive_files_.erase(id);
   if (was_opportunistic) {
     for (BlockId b : meta.blocks) {
-      // Move the block to the reliable half of every holder's bucket; the
-      // node handle is re-linked, not reallocated.
-      for (NodeId n : blocks_.at(b).replicas) {
-        NodeBlocks& bucket = node_blocks_.at(n);
-        bucket.reliable.insert(bucket.opportunistic.extract(b));
+      // Move the block to the reliable half of every holder's bucket.
+      for (NodeId n : blocks_.find(b)->replicas) {
+        NodeBlocks& bucket = bucket_of(n);
+        sorted_erase(bucket.opportunistic, b);
+        sorted_insert(bucket.reliable, b);
       }
       // Promote already-queued blocks into the reliable-priority view under
       // their original sequence numbers (the queue serves reliable files
@@ -377,24 +371,21 @@ void NameNode::remove_file(FileId id) {
     deferred_removals_.push_back(id);
     return;
   }
-  auto it = files_.find(id);
-  if (it == files_.end()) return;
+  const FileMeta* meta = files_.find(id);
+  if (meta == nullptr) return;
   if (journal_ != nullptr) journal_->record_remove_file(id);
-  const FileKind kind = it->second.kind;
-  for (BlockId b : it->second.blocks) {
-    auto bit = blocks_.find(b);
-    if (bit != blocks_.end()) {
-      for (NodeId n : bit->second.replicas) {
-        auto nb = node_blocks_.find(n);
-        if (nb != node_blocks_.end()) nb->second.of(kind).erase(b);
+  for (BlockId b : meta->blocks) {
+    if (const BlockMeta* block = blocks_.find(b)) {
+      for (NodeId n : block->replicas) {
+        sorted_erase(bucket_of(n).of(meta->kind), b);
         notify_replica(b, n, /*added=*/false);
       }
-      blocks_.erase(bit);
+      blocks_.erase(b);
     }
     queued_.erase(b);  // queue/heap entries go stale and skip at pop
   }
   adaptive_files_.erase(id);
-  files_.erase(it);
+  files_.erase(id);
 }
 
 // ---- blocks ---------------------------------------------------------------
@@ -402,11 +393,9 @@ void NameNode::remove_file(FileId id) {
 BlockId NameNode::add_block(FileId file_id, Bytes size) {
   auto& meta = file_mutable(file_id);
   const BlockId id = block_ids_.next();
-  BlockMeta bm;
-  bm.id = id;
+  BlockMeta& bm = blocks_.add(id);
   bm.file = file_id;
   bm.size = size;
-  blocks_.emplace(id, std::move(bm));
   meta.blocks.push_back(id);
   meta.size += size;
   if (journal_ != nullptr) journal_->record_add_block(file_id, id, size);
@@ -414,9 +403,9 @@ BlockId NameNode::add_block(FileId file_id, Bytes size) {
 }
 
 const BlockMeta& NameNode::block(BlockId id) const {
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) throw std::out_of_range("NameNode: unknown block");
-  return it->second;
+  const BlockMeta* meta = blocks_.find(id);
+  if (meta == nullptr) throw std::out_of_range("NameNode: unknown block");
+  return *meta;
 }
 
 bool NameNode::block_exists(BlockId id) const { return blocks_.contains(id); }
@@ -500,24 +489,22 @@ NameNode::WriteTargets NameNode::pick_write_targets(FileId file_id, NodeId write
 }
 
 void NameNode::commit_replica(BlockId block_id, NodeId node) {
-  auto& meta = blocks_.at(block_id);
-  if (!meta.has_replica_on(node)) {
-    meta.replicas.push_back(node);
-    node_blocks_[node].of(files_.at(meta.file).kind).insert(block_id);
+  BlockMeta* meta = blocks_.find(block_id);
+  if (meta == nullptr) throw std::out_of_range("NameNode: unknown block");
+  if (!meta->has_replica_on(node)) {
+    meta->replicas.push_back(node);
+    sorted_insert(bucket_of(node).of(files_.find(meta->file)->kind), block_id);
     notify_replica(block_id, node, /*added=*/true);
   }
 }
 
 void NameNode::drop_replica(BlockId block_id, NodeId node) {
-  auto it = blocks_.find(block_id);
-  if (it == blocks_.end()) return;
-  auto& reps = it->second.replicas;
+  BlockMeta* meta = blocks_.find(block_id);
+  if (meta == nullptr) return;
+  auto& reps = meta->replicas;
   const auto held = reps.size();
   reps.erase(std::remove(reps.begin(), reps.end(), node), reps.end());
-  auto nb = node_blocks_.find(node);
-  if (nb != node_blocks_.end()) {
-    nb->second.of(files_.at(it->second.file).kind).erase(block_id);
-  }
+  sorted_erase(bucket_of(node).of(files_.find(meta->file)->kind), block_id);
   if (reps.size() != held) notify_replica(block_id, node, /*added=*/false);
 }
 
@@ -529,11 +516,11 @@ std::vector<NodeId> NameNode::read_order(BlockId block_id, NodeId reader) const 
   const auto& meta = block(block_id);
   std::vector<NodeId> local, volatiles, dedicated;
   for (NodeId n : meta.replicas) {
-    auto it = datanodes_.find(n);
-    if (it == datanodes_.end() || it->second.state != DataNodeState::kLive) continue;
+    const DataNodeInfo* info = info_of(n);
+    if (info == nullptr || info->state != DataNodeState::kLive) continue;
     if (n == reader) {
       local.push_back(n);
-    } else if (it->second.dedicated) {
+    } else if (info->dedicated) {
       dedicated.push_back(n);
     } else {
       volatiles.push_back(n);
@@ -558,10 +545,8 @@ std::vector<NodeId> NameNode::read_order(BlockId block_id, NodeId reader) const 
 bool NameNode::block_readable(BlockId block_id) const {
   const auto& meta = block(block_id);
   for (NodeId n : meta.replicas) {
-    auto it = datanodes_.find(n);
-    if (it != datanodes_.end() && it->second.state == DataNodeState::kLive) {
-      return true;
-    }
+    const DataNodeInfo* info = info_of(n);
+    if (info != nullptr && info->state == DataNodeState::kLive) return true;
   }
   return false;
 }
@@ -570,11 +555,11 @@ NameNode::LiveReplicas NameNode::live_replicas(BlockId block_id) const {
   const auto& meta = block(block_id);
   LiveReplicas out;
   for (NodeId n : meta.replicas) {
-    auto it = datanodes_.find(n);
-    if (it == datanodes_.end()) continue;
-    switch (it->second.state) {
+    const DataNodeInfo* info = info_of(n);
+    if (info == nullptr) continue;
+    switch (info->state) {
       case DataNodeState::kLive:
-        ++(it->second.dedicated ? out.dedicated : out.volatile_count);
+        ++(info->dedicated ? out.dedicated : out.volatile_count);
         break;
       case DataNodeState::kHibernated:
         ++out.hibernated;
@@ -588,7 +573,7 @@ NameNode::LiveReplicas NameNode::live_replicas(BlockId block_id) const {
 
 bool NameNode::block_meets_factor(BlockId block_id) const {
   const auto& meta = block(block_id);
-  const auto& fm = files_.at(meta.file);
+  const auto& fm = *files_.find(meta.file);
   const LiveReplicas live = live_replicas(block_id);
 
   const int need_dedicated = fm.factor.dedicated;
@@ -621,12 +606,12 @@ bool NameNode::file_meets_factor(FileId file_id) const {
 
 void NameNode::enqueue_replication(BlockId block_id) {
   if (queued_.contains(block_id)) return;
-  auto bit = blocks_.find(block_id);
-  if (bit == blocks_.end()) return;
+  const BlockMeta* meta = blocks_.find(block_id);
+  if (meta == nullptr) return;
   const std::uint64_t seq = queue_seq_++;
   queued_.emplace(block_id, seq);
   replication_queue_.push_back(QueueEntry{seq, block_id});
-  if (files_.at(bit->second.file).kind == FileKind::kReliable) {
+  if (files_.find(meta->file)->kind == FileKind::kReliable) {
     reliable_queue_.emplace(seq, block_id);
   }
   ++stats_.re_replications;
@@ -656,11 +641,11 @@ std::optional<NameNode::ReplicationRequest> NameNode::next_replication_request()
     replication_queue_.pop_front();
     if (stale(seq, id)) continue;
     queued_.erase(id);
-    auto bit = blocks_.find(id);
-    if (bit == blocks_.end()) continue;
+    const BlockMeta* meta = blocks_.find(id);
+    if (meta == nullptr) continue;
     if (block_meets_factor(id)) continue;
     return ReplicationRequest{
-        id, files_.at(bit->second.file).kind == FileKind::kReliable};
+        id, files_.find(meta->file)->kind == FileKind::kReliable};
   }
   return std::nullopt;
 }
@@ -669,16 +654,16 @@ std::size_t NameNode::replication_queue_depth() const { return queued_.size(); }
 
 std::optional<NameNode::RepairPlan> NameNode::plan_repair(BlockId block_id,
                                                           Rng& rng) {
-  auto bit = blocks_.find(block_id);
-  if (bit == blocks_.end()) return std::nullopt;
-  const auto& meta = bit->second;
-  const auto& fm = files_.at(meta.file);
+  const BlockMeta* found = blocks_.find(block_id);
+  if (found == nullptr) return std::nullopt;
+  const auto& meta = *found;
+  const auto& fm = *files_.find(meta.file);
 
   // Source: any live replica holder.
   std::vector<NodeId> sources;
   for (NodeId n : meta.replicas) {
-    auto it = datanodes_.find(n);
-    if (it != datanodes_.end() && it->second.state == DataNodeState::kLive) {
+    const DataNodeInfo* info = info_of(n);
+    if (info != nullptr && info->state == DataNodeState::kLive) {
       sources.push_back(n);
     }
   }
@@ -747,7 +732,7 @@ void NameNode::refresh_adaptive_requirements() {
   // determinism contract). Every indexed file is opportunistic:
   // convert_to_reliable drops it from the index.
   for (auto fit = adaptive_files_.begin(); fit != adaptive_files_.end();) {
-    FileMeta& meta = files_.at(*fit);
+    FileMeta& meta = *files_.find(*fit);
     assert(meta.kind == FileKind::kOpportunistic && meta.adaptive_volatile != 0);
     if (meta.factor.dedicated > 0) {
       // Still waiting on a dedicated copy? If one arrived, the raised
@@ -789,8 +774,9 @@ void NameNode::subscribe_replica_events(ReplicaListener listener) {
 
 std::vector<NodeId> NameNode::datanodes() const {
   std::vector<NodeId> out;
-  out.reserve(datanodes_.size());
-  for (const auto& [id, info] : datanodes_) out.push_back(id);  // id-ordered map
+  for (std::size_t i = 0; i < datanodes_.size(); ++i) {
+    if (datanodes_[i]) out.emplace_back(i);
+  }
   return out;
 }
 

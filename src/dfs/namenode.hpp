@@ -7,12 +7,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <queue>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -205,40 +205,34 @@ class NameNode {
   // ---- auditor views (read-only) ----------------------------------------
 
   /// Reverse index of one node: the blocks whose replica list includes it,
-  /// split by the owning file's current kind into two disjoint,
-  /// BlockId-ordered sets. The hibernation sweep walks only `opportunistic`
+  /// split by the owning file's current kind into two disjoint sorted
+  /// BlockId lists. The hibernation sweep walks only `opportunistic`
   /// (§IV-C never re-replicates reliable blocks on hibernation); the death
   /// sweep merge-walks both in BlockId order.
   struct NodeBlocks {
-    std::set<BlockId> opportunistic;
-    std::set<BlockId> reliable;
-    [[nodiscard]] std::set<BlockId>& of(FileKind kind) {
+    std::vector<BlockId> opportunistic;
+    std::vector<BlockId> reliable;
+    [[nodiscard]] std::vector<BlockId>& of(FileKind kind) {
       return kind == FileKind::kReliable ? reliable : opportunistic;
     }
-    [[nodiscard]] const std::set<BlockId>& of(FileKind kind) const {
+    [[nodiscard]] const std::vector<BlockId>& of(FileKind kind) const {
       return kind == FileKind::kReliable ? reliable : opportunistic;
     }
   };
   /// `node`'s reverse index; nullptr when none recorded.
   [[nodiscard]] const NodeBlocks* blocks_on(NodeId node) const {
-    auto it = node_blocks_.find(node);
-    return it == node_blocks_.end() ? nullptr : &it->second;
+    return node.value() < node_blocks_.size() ? &node_blocks_[node.value()]
+                                              : nullptr;
   }
   /// Files whose `adaptive_volatile` is non-zero, in FileId order: exactly
   /// the files the estimate scan re-evaluates.
   [[nodiscard]] const std::set<FileId>& adaptive_files() const {
     return adaptive_files_;
   }
-  /// Every live block's / file's metadata (moon::audit walks these for
-  /// conservation checks; iteration order is hash order — callers must sort
-  /// before any state-changing use).
-  [[nodiscard]] const std::unordered_map<BlockId, BlockMeta>& all_blocks()
-      const {
-    return blocks_;
-  }
-  [[nodiscard]] const std::unordered_map<FileId, FileMeta>& all_files() const {
-    return files_;
-  }
+  /// Every live block's / file's metadata, in id order (moon::audit walks
+  /// these for conservation checks).
+  [[nodiscard]] auto all_blocks() const { return blocks_.live(); }
+  [[nodiscard]] auto all_files() const { return files_.live(); }
 
  private:
   struct DataNodeInfo {
@@ -252,6 +246,17 @@ class NameNode {
   /// reverse-index split and the adaptive-file index, so every change to
   /// them must go through a NameNode method that keeps those in step.
   [[nodiscard]] FileMeta& file_mutable(FileId id);
+  /// The registered DataNode `node`, or nullptr.
+  [[nodiscard]] const DataNodeInfo* info_of(NodeId node) const {
+    return node.value() < datanodes_.size() && datanodes_[node.value()]
+               ? &*datanodes_[node.value()]
+               : nullptr;
+  }
+  [[nodiscard]] DataNodeInfo* info_of(NodeId node) {
+    return const_cast<DataNodeInfo*>(std::as_const(*this).info_of(node));
+  }
+  /// `node`'s reverse-index bucket, grown on first use.
+  NodeBlocks& bucket_of(NodeId node);
 
   void liveness_scan();
   void estimate_scan();
@@ -263,10 +268,10 @@ class NameNode {
   void update_live_partition(NodeId node);
   void notify_replica(BlockId block, NodeId node, bool added);
 
-  /// Blocks stored per node (reverse index for death/hibernation handling).
-  /// Ordered sets: the sweeps enqueue replication while walking a bucket,
+  /// Reverse index for death/hibernation handling, indexed by NodeId.
+  /// Sorted buckets: the sweeps enqueue replication while walking a bucket,
   /// and the queue position decides repair order (§2 determinism contract).
-  std::unordered_map<NodeId, NodeBlocks> node_blocks_;
+  std::vector<NodeBlocks> node_blocks_;
   /// Files with `adaptive_volatile != 0`. A file enters on a declined
   /// dedicated write and leaves wherever the raise lapses (refresh,
   /// convert_to_reliable, remove_file); ordered so the estimate scan
@@ -277,13 +282,13 @@ class NameNode {
   cluster::Cluster& cluster_;
   DfsConfig config_;
 
-  /// Ordered by NodeId: the liveness scan takes state-changing actions
-  /// (death -> replication enqueues, listener callbacks), so its iteration
-  /// order must not depend on hash layout or registration order (DESIGN.md
-  /// §2 determinism contract).
-  std::map<NodeId, DataNodeInfo> datanodes_;
-  std::unordered_map<FileId, FileMeta> files_;
-  std::unordered_map<BlockId, BlockMeta> blocks_;
+  /// Indexed by NodeId, empty for unregistered ids. Walks go in NodeId
+  /// order: the liveness scan takes state-changing actions (death ->
+  /// replication enqueues, listener callbacks), so its order must not
+  /// depend on registration order (DESIGN.md §2 determinism contract).
+  std::vector<std::optional<DataNodeInfo>> datanodes_;
+  IdTable<FileId, FileMeta> files_;
+  IdTable<BlockId, BlockMeta> blocks_;
   IdAllocator<FileId> file_ids_;
   IdAllocator<BlockId> block_ids_;
 

@@ -12,12 +12,10 @@ PeriodicTask::PeriodicTask(Simulation& sim, Duration interval, Callback fn)
 
 PeriodicTask::~PeriodicTask() { stop(); }
 
-void PeriodicTask::start() { start_after(interval_); }
-
-void PeriodicTask::start_after(Duration initial_delay) {
+void PeriodicTask::start() {
   if (active_) return;
   active_ = true;
-  next_ = sim_.schedule_after(initial_delay, [this] { fire(); });
+  next_ = sim_.schedule_after(interval_, [this] { fire(); });
 }
 
 void PeriodicTask::stop() {

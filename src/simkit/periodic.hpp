@@ -19,10 +19,9 @@ class PeriodicTask {
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
 
-  /// Begins firing every `interval`, first fire after `initial_delay`
-  /// (defaults to one full interval). Restarting while active is a no-op.
+  /// Begins firing every `interval`, first fire one interval from now.
+  /// Restarting while active is a no-op.
   void start();
-  void start_after(Duration initial_delay);
 
   /// Stops firing; may be started again later.
   void stop();

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "dfs/dfs.hpp"
@@ -425,6 +427,92 @@ TEST_F(NameNodeTest, RemoveFileClearsBlocks) {
   EXPECT_FALSE(nn().file_exists(f));
 }
 
+// ---- id-indexed tables: tombstones, id order, reference stability ---------
+
+TEST_F(NameNodeTest, RemovedFileAndBlocksReadAsAbsent) {
+  build();
+  const NodeId v0 = volatile_ids_[0];
+  const FileId f = nn().create_file("x", FileKind::kOpportunistic, {0, 2});
+  const BlockId b = nn().add_block(f, 100);
+  nn().commit_replica(b, v0);
+  nn().remove_file(f);
+
+  EXPECT_FALSE(nn().file_exists(f));
+  EXPECT_FALSE(nn().block_exists(b));
+  EXPECT_THROW((void)nn().file(f), std::out_of_range);
+  EXPECT_THROW((void)nn().block(b), std::out_of_range);
+  nn().enqueue_replication(b);
+  EXPECT_EQ(nn().replication_queue_depth(), 0u);
+  nn().handle_block_report(v0, {b}, 100.0);
+  EXPECT_FALSE(nn().block_exists(b));
+  EXPECT_TRUE(nn().blocks_on(v0)->opportunistic.empty());
+  EXPECT_TRUE(nn().blocks_on(v0)->reliable.empty());
+}
+
+TEST_F(NameNodeTest, IdsAreNotReused) {
+  build();
+  const FileId f = nn().create_file("x", FileKind::kOpportunistic, {0, 1});
+  const BlockId b = nn().add_block(f, 100);
+  nn().remove_file(f);
+  const FileId g = nn().create_file("y", FileKind::kOpportunistic, {0, 1});
+  const BlockId c = nn().add_block(g, 100);
+  EXPECT_GT(g, f);
+  EXPECT_GT(c, b);
+  EXPECT_FALSE(nn().file_exists(f));
+  EXPECT_FALSE(nn().block_exists(b));
+  EXPECT_EQ(nn().block(c).file, g);
+}
+
+TEST_F(NameNodeTest, TablesWalkInIdOrderSkippingTombstones) {
+  build();
+  std::vector<FileId> files;
+  std::vector<std::vector<BlockId>> blocks(4);
+  for (int i = 0; i < 4; ++i) {
+    files.push_back(nn().create_file("f", FileKind::kOpportunistic, {0, 1}));
+  }
+  // Interleave the files' blocks so each file's ids are not contiguous.
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      blocks[i].push_back(nn().add_block(files[i], 100));
+    }
+  }
+  nn().remove_file(files[1]);
+  nn().remove_file(files[3]);
+
+  std::vector<BlockId> want = blocks[0];
+  want.insert(want.end(), blocks[2].begin(), blocks[2].end());
+  std::sort(want.begin(), want.end());
+  std::vector<BlockId> walked;
+  for (const BlockMeta& meta : nn().all_blocks()) walked.push_back(meta.id);
+  EXPECT_EQ(walked, want);
+  std::vector<FileId> walked_files;
+  for (const FileMeta& meta : nn().all_files()) walked_files.push_back(meta.id);
+  EXPECT_EQ(walked_files, (std::vector<FileId>{files[0], files[2]}));
+}
+
+TEST_F(NameNodeTest, MetadataReferencesSurviveTableGrowth) {
+  build();
+  const FileId f = nn().create_file("held", FileKind::kReliable, {1, 2});
+  const BlockId b = nn().add_block(f, 4096);
+  nn().commit_replica(b, volatile_ids_[0]);
+  nn().commit_replica(b, dedicated_ids_[0]);
+  const FileMeta& file = nn().file(f);
+  const BlockMeta& block = nn().block(b);
+  for (int i = 0; i < 10000; ++i) {
+    nn().add_block(nn().create_file("grow", FileKind::kOpportunistic, {0, 1}), 1);
+  }
+  EXPECT_EQ(file.id, f);
+  EXPECT_EQ(file.name, "held");
+  EXPECT_EQ(file.kind, FileKind::kReliable);
+  EXPECT_EQ(file.blocks, std::vector<BlockId>{b});
+  EXPECT_EQ(file.size, 4096);
+  EXPECT_EQ(block.id, b);
+  EXPECT_EQ(block.file, f);
+  EXPECT_EQ(block.size, 4096);
+  EXPECT_EQ(block.replicas,
+            (std::vector<NodeId>{volatile_ids_[0], dedicated_ids_[0]}));
+}
+
 // ---- sweep indices: per-node kind split and the adaptive-file index -------
 
 /// The reverse index as the NameNode's public views imply it: every replica
@@ -436,13 +524,17 @@ struct ExpectedBuckets {
 
 ExpectedBuckets brute_force_buckets(const NameNode& nn) {
   ExpectedBuckets out;
-  for (const auto& [id, meta] : nn.all_blocks()) {
+  for (const BlockMeta& meta : nn.all_blocks()) {
     auto& half = nn.file(meta.file).kind == FileKind::kReliable
                      ? out.reliable
                      : out.opportunistic;
-    for (NodeId n : meta.replicas) half[n].insert(id);
+    for (NodeId n : meta.replicas) half[n].insert(meta.id);
   }
   return out;
+}
+
+std::set<BlockId> as_set(const std::vector<BlockId>& bucket) {
+  return {bucket.begin(), bucket.end()};
 }
 
 std::set<BlockId> at_or_empty(const std::map<NodeId, std::set<BlockId>>& m,
@@ -456,9 +548,9 @@ void expect_buckets_match(const NameNode& nn) {
   for (NodeId n : nn.datanodes()) {
     const auto* bucket = nn.blocks_on(n);
     const std::set<BlockId> opp =
-        bucket == nullptr ? std::set<BlockId>{} : bucket->opportunistic;
+        bucket == nullptr ? std::set<BlockId>{} : as_set(bucket->opportunistic);
     const std::set<BlockId> rel =
-        bucket == nullptr ? std::set<BlockId>{} : bucket->reliable;
+        bucket == nullptr ? std::set<BlockId>{} : as_set(bucket->reliable);
     EXPECT_EQ(opp, at_or_empty(want.opportunistic, n)) << "node " << n;
     EXPECT_EQ(rel, at_or_empty(want.reliable, n)) << "node " << n;
   }
@@ -479,8 +571,8 @@ TEST_F(NameNodeTest, HibernationSkipsBlocksConvertedToReliable) {
   }
   nn().convert_to_reliable(converted);
   ASSERT_EQ(nn().replication_queue_depth(), 0u);
-  EXPECT_EQ(nn().blocks_on(v0)->reliable, std::set<BlockId>{c});
-  EXPECT_EQ(nn().blocks_on(v0)->opportunistic, std::set<BlockId>{k});
+  EXPECT_EQ(as_set(nn().blocks_on(v0)->reliable), std::set<BlockId>{c});
+  EXPECT_EQ(as_set(nn().blocks_on(v0)->opportunistic), std::set<BlockId>{k});
 
   // Both blocks fall under factor when v0 hibernates; only the block that is
   // still opportunistic is re-replicated (§IV-C).
@@ -601,8 +693,9 @@ TEST_F(NameNodeTest, CrashThenBlockReportsRebuildBothHalves) {
   nn().finish_recovery();
   expect_buckets_match(nn());
   for (NodeId n : nn().datanodes()) {
-    EXPECT_EQ(nn().blocks_on(n)->opportunistic, at_or_empty(before.opportunistic, n));
-    EXPECT_EQ(nn().blocks_on(n)->reliable, at_or_empty(before.reliable, n));
+    EXPECT_EQ(as_set(nn().blocks_on(n)->opportunistic),
+              at_or_empty(before.opportunistic, n));
+    EXPECT_EQ(as_set(nn().blocks_on(n)->reliable), at_or_empty(before.reliable, n));
   }
 }
 
@@ -617,7 +710,8 @@ TEST_F(NameNodeTest, RandomOperationsKeepIndicesExact) {
     if (to == DataNodeState::kLive) return;
     ++sweeps_checked;
     const std::size_t depth = nn().replication_queue_depth();
-    for (const auto& [id, meta] : nn().all_blocks()) {
+    for (const BlockMeta& meta : nn().all_blocks()) {
+      const BlockId id = meta.id;
       if (!meta.has_replica_on(node) || nn().block_meets_factor(id)) continue;
       if (to == DataNodeState::kHibernated &&
           (nn().file(meta.file).kind != FileKind::kOpportunistic ||
@@ -695,8 +789,8 @@ TEST_F(NameNodeTest, RandomOperationsKeepIndicesExact) {
       case 9:
         if (rng.uniform() < 0.1) {
           std::map<NodeId, std::vector<BlockId>> reports;
-          for (const auto& [id, meta] : nn().all_blocks()) {
-            for (NodeId n : meta.replicas) reports[n].push_back(id);
+          for (const BlockMeta& meta : nn().all_blocks()) {
+            for (NodeId n : meta.replicas) reports[n].push_back(meta.id);
           }
           nn().crash();
           nn().begin_recovery();

@@ -61,11 +61,11 @@ TEST(Auditor, DetectsPhantomReplica) {
   // happens after a physical store.)
   auto& nn = h.dfs().namenode();
   BlockId victim = BlockId::invalid();
-  for (const auto& [id, meta] : nn.all_blocks()) {
+  for (const dfs::BlockMeta& meta : nn.all_blocks()) {
     for (NodeId n : h.volatile_ids) {
       if (!meta.has_replica_on(n)) {
-        victim = id;
-        nn.commit_replica(id, n);
+        victim = meta.id;
+        nn.commit_replica(meta.id, n);
         break;
       }
     }

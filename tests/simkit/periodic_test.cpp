@@ -16,15 +16,6 @@ TEST(PeriodicTask, FiresAtEveryInterval) {
   EXPECT_EQ(fires, (std::vector<Time>{10 * kSecond, 20 * kSecond, 30 * kSecond}));
 }
 
-TEST(PeriodicTask, StartAfterCustomDelay) {
-  Simulation sim;
-  std::vector<Time> fires;
-  PeriodicTask task(sim, 10 * kSecond, [&] { fires.push_back(sim.now()); });
-  task.start_after(3 * kSecond);
-  sim.run_until(25 * kSecond);
-  EXPECT_EQ(fires, (std::vector<Time>{3 * kSecond, 13 * kSecond, 23 * kSecond}));
-}
-
 TEST(PeriodicTask, StopHaltsFiring) {
   Simulation sim;
   int fires = 0;
