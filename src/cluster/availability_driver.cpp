@@ -1,6 +1,5 @@
 #include "cluster/availability_driver.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -30,14 +29,9 @@ void AvailabilityDriver::install(int repeats) {
   if (installed_) throw std::logic_error("AvailabilityDriver: double install");
   installed_ = true;
   // Walk assignments in NodeId order: two nodes flipping at the same instant
-  // enqueue events whose same-timestamp tie-break is insertion order, so the
-  // map's hash order must not decide it (§2 determinism contract).
-  std::vector<NodeId> ids;
-  ids.reserve(traces_.size());
-  for (const auto& [node_id, trace] : traces_) ids.push_back(node_id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before any event is scheduled
-  std::sort(ids.begin(), ids.end());
-  for (NodeId node_id : ids) {
-    const trace::AvailabilityTrace& trace = traces_.at(node_id);
+  // enqueue events whose same-timestamp tie-break is insertion order (§2
+  // determinism contract).
+  for (const auto& [node_id, trace] : traces_) {
     Node& node = cluster_.node(node_id);
     for (int rep = 0; rep < repeats; ++rep) {
       const sim::Time offset = static_cast<sim::Time>(rep) * trace.horizon();

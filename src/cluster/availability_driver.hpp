@@ -7,7 +7,7 @@
 // Hadoop/MOON related processes on the node accordingly."
 #pragma once
 
-#include <unordered_map>
+#include <map>
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
@@ -35,7 +35,8 @@ class AvailabilityDriver {
  private:
   sim::Simulation& sim_;
   Cluster& cluster_;
-  std::unordered_map<NodeId, trace::AvailabilityTrace> traces_;
+  /// Ordered by NodeId: install walks it directly.
+  std::map<NodeId, trace::AvailabilityTrace> traces_;
   bool installed_ = false;
 };
 

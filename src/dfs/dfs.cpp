@@ -402,7 +402,6 @@ Dfs::Dfs(sim::Simulation& sim, cluster::Cluster& cluster, DfsConfig config,
 }
 
 Dfs::~Dfs() {
-  // detlint: allow(unordered-iter) -- destructor teardown after the run has ended; abort order cannot reach any simulated outcome
   for (auto& [id, op] : ops_) op->abort();
 }
 
@@ -429,11 +428,7 @@ void Dfs::recover_namenode() {
   namenode_.finish_recovery();
   // Re-kick parked client ops in issue order; probe() doubles as the resume
   // hook (parked writes allocate + re-pick, parked reads re-attempt).
-  std::vector<OpId> ids;
-  ids.reserve(ops_.size());
-  for (const auto& [id, op] : ops_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before any op is probed
-  std::sort(ids.begin(), ids.end());
-  for (OpId id : ids) probe_op(id);
+  probe_issued_ops();
   // Refill the repair pipeline from the post-recovery sweep's queue.
   start_repair_streams();
 }
@@ -621,14 +616,20 @@ void Dfs::finish_op(OpId id, bool ok) {
 
 void Dfs::probe_ops() {
   sim::Profiler::Scope profile(sim_.profiler(), sim::Profiler::Key::kDfsProbe);
-  // Ops may complete (and erase themselves) during probing; walk a snapshot,
-  // in issue order — probes retry stalled transfers (state-changing), so the
-  // walk must not follow the map's hash order (§2 determinism contract).
-  std::vector<OpId> ids;
-  ids.reserve(ops_.size());
-  for (const auto& [id, op] : ops_) ids.push_back(id);  // detlint: allow(unordered-iter) -- key snapshot, sorted on the next line before any op is probed
-  std::sort(ids.begin(), ids.end());
-  for (OpId id : ids) probe_op(id);
+  probe_issued_ops();
+}
+
+void Dfs::probe_issued_ops() {
+  // Probes retry stalled transfers (state-changing), so they run in issue
+  // order (§2 determinism contract). A probe may finish or cancel ops and
+  // its callbacks may issue new ones: step past the last probed id, and
+  // stop at the first id issued during the walk.
+  const OpId end = next_op_;
+  for (auto it = ops_.begin(); it != ops_.end() && it->first < end;) {
+    const OpId id = it->first;
+    probe_op(id);
+    it = ops_.upper_bound(id);
+  }
 }
 
 void Dfs::probe_op(OpId id) {
@@ -647,26 +648,22 @@ void Dfs::replication_scan() {
   // streams keep draining; the post-recovery sweep re-queues what they owe).
   if (!namenode_.available()) return;
   auto& net = cluster_.network();
-  // 1. Recycle stalled repair streams.
-  std::vector<FlowId> stalled;
-  // detlint: allow(unordered-iter) -- read-only stall scan into a snapshot that is sorted below before any abort
-  for (const auto& [flow, repair] : repairs_) {
-    if (net.stalled(flow)) stalled.push_back(flow);
-  }
-  // Recycle in flow-start order: each abort re-enqueues the block, and the
-  // queue position decides the retry order, so the hash order of repairs_
-  // must not leak into it (§2 determinism contract).
-  std::sort(stalled.begin(), stalled.end());
+  // 1. Recycle stalled repair streams, in flow-start order: each abort
+  // re-enqueues the block, and the queue position decides the retry order
+  // (§2 determinism contract).
   {
     sim::FlowNetwork::CapacityBatch batch(net);
-    for (FlowId flow : stalled) {
-      const Repair repair = repairs_.at(flow);
-      net.abort_flow(flow);
-      repairs_.erase(flow);
-      if (auto* tracer = sim_.tracer()) {
-        tracer->end(repair.span, sim_.now(), {{"outcome", "stalled"}});
+    for (auto it = repairs_.begin(); it != repairs_.end();) {
+      if (!net.stalled(it->first)) {
+        ++it;
+        continue;
       }
-      namenode_.enqueue_replication(repair.block);
+      net.abort_flow(it->first);
+      if (auto* tracer = sim_.tracer()) {
+        tracer->end(it->second.span, sim_.now(), {{"outcome", "stalled"}});
+      }
+      namenode_.enqueue_replication(it->second.block);
+      it = repairs_.erase(it);
     }
   }
   // 2. Launch new streams up to the cap.

@@ -14,9 +14,9 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -115,6 +115,9 @@ class Dfs {
   struct Repair;
 
   void probe_ops();
+  /// Probes, in issue order, every op issued before the call; an op issued
+  /// by a probe's callbacks waits for the next pass.
+  void probe_issued_ops();
   /// Runs one op's stall probe. An op that finishes or is cancelled during
   /// its own probe stays alive (closed) until the probe returns.
   void probe_op(OpId id);
@@ -134,10 +137,12 @@ class Dfs {
   Rng rng_;
   NameNode namenode_;
   std::vector<std::unique_ptr<DataNode>> datanodes_;  // indexed by node id
-  std::unordered_map<OpId, std::unique_ptr<Op>> ops_;
+  /// Ordered by OpId (issue order), so walks over them need no sort.
+  std::map<OpId, std::unique_ptr<Op>> ops_;
   Op* probing_ = nullptr;               ///< op whose probe() is running
   std::unique_ptr<Op> probed_closed_;   ///< it, once closed mid-probe
-  std::unordered_map<FlowId, Repair> repairs_;
+  /// Ordered by FlowId (stream start order).
+  std::map<FlowId, Repair> repairs_;
   OpId next_op_ = 1;
   Bytes partial_inflight_ = 0;
   sim::PeriodicTask probe_task_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <deque>
 #include <ranges>
 #include <string>
@@ -23,6 +24,10 @@ struct BlockMeta {
   /// NameNode filters by DataNode state when serving reads or counting
   /// effective replication).
   std::vector<NodeId> replicas;
+  /// Sequence number of the block's replication-queue entry; kNotQueued
+  /// when it has none (NameNode bookkeeping).
+  static constexpr std::uint64_t kNotQueued = ~std::uint64_t{0};
+  std::uint64_t queue_seq = kNotQueued;
 
   [[nodiscard]] bool has_replica_on(NodeId node) const;
 };

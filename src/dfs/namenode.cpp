@@ -39,6 +39,7 @@ void NameNode::crash() {
   for (BlockMeta& meta : blocks_.live()) {
     for (NodeId n : meta.replicas) notify_replica(meta.id, n, /*added=*/false);
     meta.replicas.clear();
+    meta.queue_seq = BlockMeta::kNotQueued;
   }
   for (NodeBlocks& bucket : node_blocks_) bucket = {};
   live_dedicated_.clear();
@@ -49,8 +50,6 @@ void NameNode::crash() {
     if (info) info->state = DataNodeState::kDead;
   }
   replication_queue_.clear();
-  while (!reliable_queue_.empty()) reliable_queue_.pop();
-  queued_.clear();
   estimate_p_ = 0.0;
   estimate_accum_ = 0.0;
   estimate_samples_ = 0;
@@ -335,11 +334,13 @@ void NameNode::convert_to_reliable(FileId id) {
         sorted_erase(bucket.opportunistic, b);
         sorted_insert(bucket.reliable, b);
       }
-      // Promote already-queued blocks into the reliable-priority view under
-      // their original sequence numbers (the queue serves reliable files
-      // first).
-      auto it = queued_.find(b);
-      if (it != queued_.end()) reliable_queue_.emplace(it->second, b);
+      // Move an already-queued block into the reliable class under its
+      // original sequence number (the queue serves reliable files first).
+      const std::uint64_t seq = blocks_.find(b)->queue_seq;
+      if (seq != BlockMeta::kNotQueued) {
+        replication_queue_.erase({queue_class(FileKind::kOpportunistic), seq, b});
+        replication_queue_.emplace(queue_class(FileKind::kReliable), seq, b);
+      }
     }
   }
   // Reliable files carry a dedicated copy — but only when the deployment
@@ -380,9 +381,9 @@ void NameNode::remove_file(FileId id) {
         sorted_erase(bucket_of(n).of(meta->kind), b);
         notify_replica(b, n, /*added=*/false);
       }
+      replication_queue_.erase({queue_class(meta->kind), block->queue_seq, b});
       blocks_.erase(b);
     }
-    queued_.erase(b);  // queue/heap entries go stale and skip at pop
   }
   adaptive_files_.erase(id);
   files_.erase(id);
@@ -605,52 +606,30 @@ bool NameNode::file_meets_factor(FileId file_id) const {
 // ---- replication queue ------------------------------------------------
 
 void NameNode::enqueue_replication(BlockId block_id) {
-  if (queued_.contains(block_id)) return;
-  const BlockMeta* meta = blocks_.find(block_id);
-  if (meta == nullptr) return;
-  const std::uint64_t seq = queue_seq_++;
-  queued_.emplace(block_id, seq);
-  replication_queue_.push_back(QueueEntry{seq, block_id});
-  if (files_.find(meta->file)->kind == FileKind::kReliable) {
-    reliable_queue_.emplace(seq, block_id);
-  }
+  BlockMeta* meta = blocks_.find(block_id);
+  if (meta == nullptr || meta->queue_seq != BlockMeta::kNotQueued) return;
+  meta->queue_seq = queue_seq_++;
+  replication_queue_.emplace(queue_class(files_.find(meta->file)->kind),
+                             meta->queue_seq, block_id);
   ++stats_.re_replications;
 }
 
 std::optional<NameNode::ReplicationRequest> NameNode::next_replication_request() {
-  // Reliable files first (served in enqueue order from the seq-ordered
-  // heap), then the FIFO fallback. Entries whose seq no longer matches
-  // `queued_` were already served, promoted, or belonged to a removed file:
-  // tombstones, dropped on sight — amortized O(log n) per request instead of
-  // the old middle-of-the-deque erase compaction.
-  const auto stale = [this](std::uint64_t seq, BlockId id) {
-    auto it = queued_.find(id);
-    return it == queued_.end() || it->second != seq;
-  };
-  while (!reliable_queue_.empty()) {
-    const auto [seq, id] = reliable_queue_.top();
-    reliable_queue_.pop();
-    if (stale(seq, id)) continue;
-    queued_.erase(id);
-    if (!blocks_.contains(id)) continue;   // file removed meanwhile
-    if (block_meets_factor(id)) continue;  // repaired in the meantime
-    return ReplicationRequest{id, true};
-  }
+  // Reliable files first, each class in enqueue order; a block repaired in
+  // the meantime is dropped.
   while (!replication_queue_.empty()) {
-    const auto [seq, id] = replication_queue_.front();
-    replication_queue_.pop_front();
-    if (stale(seq, id)) continue;
-    queued_.erase(id);
-    const BlockMeta* meta = blocks_.find(id);
-    if (meta == nullptr) continue;
+    const auto [cls, seq, id] = *replication_queue_.begin();
+    replication_queue_.erase(replication_queue_.begin());
+    blocks_.find(id)->queue_seq = BlockMeta::kNotQueued;
     if (block_meets_factor(id)) continue;
-    return ReplicationRequest{
-        id, files_.find(meta->file)->kind == FileKind::kReliable};
+    return ReplicationRequest{id, cls == queue_class(FileKind::kReliable)};
   }
   return std::nullopt;
 }
 
-std::size_t NameNode::replication_queue_depth() const { return queued_.size(); }
+std::size_t NameNode::replication_queue_depth() const {
+  return replication_queue_.size();
+}
 
 std::optional<NameNode::RepairPlan> NameNode::plan_repair(BlockId block_id,
                                                           Rng& rng) {

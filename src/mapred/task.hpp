@@ -11,11 +11,11 @@
 // Job, which owns them and keeps the metrics.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/types.hpp"
@@ -39,7 +39,6 @@ struct Task {
   TaskState state = TaskState::kPending;
   BlockId input_block;      ///< maps only
   int failures = 0;         ///< failed attempts (footnote-1 accounting)
-  int schedule_order = 0;   ///< original scheduling order (Hadoop tie-break)
   std::vector<AttemptId> attempts;  ///< all attempts ever launched
 
   /// Non-terminal attempts only (maintained by the Job on launch/finalize):
@@ -119,8 +118,6 @@ class TaskAttempt {
 
   /// True once this attempt successfully restored a checkpoint.
   [[nodiscard]] bool resumed() const { return resumed_; }
-  /// Progress score the restored checkpoint carried (0 if none).
-  [[nodiscard]] double salvaged_progress() const { return salvaged_progress_; }
 
   // ---- master crash-recovery (DESIGN.md §14) ------------------------------
   /// True when an outcome (success/failure) or fetch-failure report is
@@ -136,7 +133,7 @@ class TaskAttempt {
   /// Maps whose partitions this (reduce) attempt has not yet fetched.
   [[nodiscard]] std::vector<TaskId> unfetched_maps() const;
   [[nodiscard]] std::size_t fetching_count() const { return fetching_.size(); }
-  [[nodiscard]] std::size_t retry_wait_count() const { return retry_wait_.size(); }
+  [[nodiscard]] std::size_t retry_wait_count() const;
 
  private:
   // --- map pipeline ---
@@ -199,13 +196,17 @@ class TaskAttempt {
   sim::Duration resume_compute_total_ = 0;
   sim::Duration resume_compute_done_ = 0;
   bool resumed_ = false;
-  double salvaged_progress_ = 0.0;
 
   // Reduce/shuffle state.
-  std::unordered_set<TaskId> fetched_;
-  std::unordered_map<TaskId, dfs::OpId> fetching_;
-  std::unordered_set<TaskId> retry_wait_;  ///< failed; waiting for retry tick
-  /// Maps believed fetchable (output committed; not fetched/fetching/waiting),
+  enum class Fetch : std::uint8_t { kNone, kFetching, kRetryWait, kFetched };
+  /// Per map, indexed by its TaskId (maps hold job-local ids 0..maps-1);
+  /// empty for map attempts. kRetryWait: failed, waiting for the retry tick.
+  std::vector<Fetch> fetch_state_;
+  std::size_t fetched_count_ = 0;
+  /// In-flight partition fetches (at most shuffle_parallelism) in issue
+  /// order, which is OpId order: cleanup cancels them in this order.
+  std::vector<std::pair<TaskId, dfs::OpId>> fetching_;
+  /// Maps believed fetchable (output committed; state kNone),
   /// in TaskId order — the order the old full scan picked them in. Fed by
   /// shuffle start + map-completion notifications + retry expiry; a map whose
   /// output was revoked (re-execution) lingers until the lazy validity check

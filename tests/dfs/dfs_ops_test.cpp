@@ -322,6 +322,47 @@ TEST_F(DfsOpsTest, StallProbeStopsWhenItsReadIsCancelledUnderIt) {
   EXPECT_EQ(dfs_->stats().bytes_read, 0);
 }
 
+// A probe pass walks only the ops issued before it began. Here the first
+// probe abandons a read stalled on its only source, the read fails, and
+// its callback issues a write. Probed in the same pass, that write (not
+// yet begun, nothing in flight, a zero re-pick budget) would fail before
+// it starts; it must instead begin and land.
+TEST_F(DfsOpsTest, ProbePassSkipsOpsIssuedDuringIt) {
+  DfsConfig config;
+  config.client_probe_interval = sim::kSecond;
+  config.max_read_rounds = 1;
+  config.max_write_target_retries = 0;
+  build(config, /*volatiles=*/3, /*dedicated=*/0);
+  const FileId in = dfs_->stage_file("in", FileKind::kOpportunistic, {0, 1},
+                                     mib(64.0));
+  const BlockId b = nn().file(in).blocks[0];
+  const NodeId holder = nn().block(b).replicas[0];
+  const NodeId reader =
+      volatile_ids_[0] == holder ? volatile_ids_[1] : volatile_ids_[0];
+  const FileId out = nn().create_file("out", FileKind::kOpportunistic, {0, 1});
+  sim::Time read_failed_at = -1;
+  std::optional<bool> written;
+  sim::Time written_at = -1;
+  // The read streams at 50 MiB/s (the holder's disk) and stalls when the
+  // holder drops at 0.5 s; the probe at 1 s abandons it.
+  dfs_->read_block(b, reader, [&](bool ok) {
+    EXPECT_FALSE(ok);
+    read_failed_at = sim_.now();
+    dfs_->write_file(out, reader, mib(1.0), [&](bool write_ok) {
+      written = write_ok;
+      written_at = sim_.now();
+    });
+  });
+  sim_.schedule_at(500 * sim::kMillisecond,
+                   [&] { cluster_->node(holder).set_available(false); });
+  advance(sim::kMinute);
+  EXPECT_EQ(read_failed_at, sim::kSecond);
+  ASSERT_TRUE(written.has_value());
+  EXPECT_TRUE(*written);
+  EXPECT_GT(written_at, sim::kSecond);
+  EXPECT_EQ(dfs_->active_ops(), 0u);
+}
+
 TEST_F(DfsOpsTest, UnderReplicatedBlockIsRepairedInBackground) {
   build();
   const FileId f = dfs_->stage_file("x", FileKind::kOpportunistic, {0, 3},

@@ -65,6 +65,24 @@ TEST(Job, CompletesOnStableCluster) {
   EXPECT_EQ(m.fetch_failures, 0);
 }
 
+// The retained-state estimate charges fixed weights per record, not
+// sizeof, so no struct or standard-library change can move a fingerprint
+// that reads it: 1080 per job plus its name, 208 per task, 736 per attempt.
+TEST(Job, RetainedBytesUseFixedRecordWeights) {
+  MapRedHarness h;
+  h.submit();
+  const Job& job = h.job();
+  const std::size_t base = 1080 + job.spec().name.size() + 6 * 208;
+  EXPECT_EQ(job.metrics().launched_map_attempts +
+                job.metrics().launched_reduce_attempts,
+            0);
+  EXPECT_EQ(job.approx_retained_bytes(), base);
+  ASSERT_TRUE(h.run_to_completion());
+  EXPECT_EQ(job.metrics().launched_map_attempts, 4);
+  EXPECT_EQ(job.metrics().launched_reduce_attempts, 2);
+  EXPECT_EQ(job.approx_retained_bytes(), base + 6 * 736);
+}
+
 TEST(Job, MapTimesReflectComputePlusIo) {
   FixtureOptions opt;
   opt.map_compute = 20 * sim::kSecond;
