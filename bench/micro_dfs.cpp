@@ -1,11 +1,12 @@
 // Microbenchmarks for the DFS control plane: Algorithm 1 updates, write-
 // target selection, factor checks, the NameNode's liveness/estimate sweeps
-// over a grown namespace, and a full simulated job as an end-to-end
-// throughput number.
+// over a grown namespace, one auditor sweep of the replica indices, and a
+// full simulated job as an end-to-end throughput number.
 #include <benchmark/benchmark.h>
 
 #include <optional>
 
+#include "audit/auditor.hpp"
 #include "cluster/cluster.hpp"
 #include "dfs/dfs.hpp"
 #include "dfs/namenode.hpp"
@@ -157,6 +158,30 @@ void BM_NameNodeSweeps(benchmark::State& state) {
   state.counters["v_prime"] = nn.adaptive_volatile_requirement();
 }
 BENCHMARK(BM_NameNodeSweeps)->Unit(benchmark::kMicrosecond);
+
+/// One auditor sweep (DESIGN.md §13) over a staged namespace about the size
+/// `chaos_failover` audits every 10 s: 2,500 blocks with 7,500 replicas on
+/// 66 nodes, in ten reliable files (1 dedicated + 2 volatile copies) and
+/// ten opportunistic ones (3 volatile copies). Only the DFS check runs.
+void BM_AuditSweep(benchmark::State& state) {
+  DfsBed bed;
+  for (int i = 0; i < 10; ++i) {
+    bed.dfs->stage_blocks("r", dfs::FileKind::kReliable, {1, 2}, 150,
+                          mib(64.0));
+    bed.dfs->stage_blocks("o", dfs::FileKind::kOpportunistic, {0, 3}, 100,
+                          mib(64.0));
+  }
+  audit::Auditor auditor(&bed.cluster, bed.dfs.get(), nullptr);
+  for (auto _ : state) {
+    if (!auditor.run().empty()) state.SkipWithError("audit violation");
+  }
+  std::size_t replicas = 0;
+  for (const dfs::BlockMeta& meta : bed.dfs->namenode().all_blocks()) {
+    replicas += meta.replicas.size();
+  }
+  state.counters["replicas"] = static_cast<double>(replicas);
+}
+BENCHMARK(BM_AuditSweep)->Unit(benchmark::kMicrosecond);
 
 /// End-to-end: one simulated sleep(sort)-style job on 22 nodes. This is the
 /// unit of work every figure bench repeats dozens of times.

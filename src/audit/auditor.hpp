@@ -72,6 +72,17 @@ class Auditor {
   sim::Simulation* sim_;
   std::int64_t passes_ = 0;
   std::int64_t violations_total_ = 0;
+
+  /// check_dfs scratch, indexed by NodeId: the blocks whose replica lists
+  /// name the node, split by file kind like the reverse index and in all
+  /// (one list to merge against the DataNode), each in BlockId order.
+  /// Cleared and refilled every pass, so a clean sweep allocates nothing
+  /// once the lists have grown.
+  struct Expected {
+    dfs::NameNode::NodeBlocks by_kind;
+    std::vector<BlockId> all;
+  };
+  std::vector<Expected> expected_;
 };
 
 }  // namespace moon::audit

@@ -33,6 +33,8 @@ class DataNode {
   [[nodiscard]] bool stores(BlockId block) const {
     return sorted_contains(blocks_, block);
   }
+  /// Every block physically here, in BlockId order (auditor view).
+  [[nodiscard]] const std::vector<BlockId>& blocks() const { return blocks_; }
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
   [[nodiscard]] Bytes stored_bytes() const { return stored_bytes_; }
 

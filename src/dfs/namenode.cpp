@@ -280,8 +280,10 @@ void NameNode::on_node_hibernated(NodeId node) {
   const NodeBlocks* bucket = blocks_on(node);
   if (bucket == nullptr) return;
   for (BlockId b : bucket->opportunistic) {
-    if (live_replicas(b).dedicated > 0) continue;
-    if (!block_meets_factor(b)) enqueue_replication(b);
+    const BlockMeta& meta = block(b);
+    const LiveReplicas live = count_live(meta);
+    if (live.dedicated > 0) continue;
+    if (!meets_factor(meta, live)) enqueue_replication(b);
   }
 }
 
@@ -553,7 +555,10 @@ bool NameNode::block_readable(BlockId block_id) const {
 }
 
 NameNode::LiveReplicas NameNode::live_replicas(BlockId block_id) const {
-  const auto& meta = block(block_id);
+  return count_live(block(block_id));
+}
+
+NameNode::LiveReplicas NameNode::count_live(const BlockMeta& meta) const {
   LiveReplicas out;
   for (NodeId n : meta.replicas) {
     const DataNodeInfo* info = info_of(n);
@@ -574,8 +579,12 @@ NameNode::LiveReplicas NameNode::live_replicas(BlockId block_id) const {
 
 bool NameNode::block_meets_factor(BlockId block_id) const {
   const auto& meta = block(block_id);
+  return meets_factor(meta, count_live(meta));
+}
+
+bool NameNode::meets_factor(const BlockMeta& meta,
+                            const LiveReplicas& live) const {
   const auto& fm = *files_.find(meta.file);
-  const LiveReplicas live = live_replicas(block_id);
 
   const int need_dedicated = fm.factor.dedicated;
   int need_volatile = fm.required_volatile();
@@ -649,7 +658,7 @@ std::optional<NameNode::RepairPlan> NameNode::plan_repair(BlockId block_id,
   if (sources.empty()) return std::nullopt;  // unrecoverable right now
   std::sort(sources.begin(), sources.end());
 
-  const LiveReplicas live = live_replicas(block_id);
+  const LiveReplicas live = count_live(meta);
   const bool need_dedicated = live.dedicated < fm.factor.dedicated;
 
   // Targets come from the live partition matching the missing dimension;

@@ -255,6 +255,10 @@ class NameNode {
   }
   /// `node`'s reverse-index bucket, grown on first use.
   NodeBlocks& bucket_of(NodeId node);
+  /// live_replicas / block_meets_factor on a block already looked up.
+  [[nodiscard]] LiveReplicas count_live(const BlockMeta& meta) const;
+  [[nodiscard]] bool meets_factor(const BlockMeta& meta,
+                                  const LiveReplicas& live) const;
 
   void liveness_scan();
   void estimate_scan();
