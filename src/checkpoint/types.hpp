@@ -37,12 +37,6 @@ struct CheckpointConfig {
   /// Fixed serialization overhead charged per emit on top of the payload.
   Bytes state_overhead = 4 * kKiB;
 
-  /// Best-effort checkpoint when the host tracker is declared suspended.
-  /// The write is charged through the normal I/O model, so it usually
-  /// stalls with the node and is abandoned — kept because it mirrors what a
-  /// real pre-suspension hook would attempt.
-  bool emit_on_suspension = true;
-
   /// Whether speculative (backup) reduce attempts may also bootstrap from a
   /// checkpoint. On by default: the checkpoint lives in the DFS, so any
   /// node can read it.

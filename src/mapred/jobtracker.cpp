@@ -262,8 +262,9 @@ void JobTracker::set_tracker_state(TrackerInfo& info, TrackerState next) {
       }
       // Best-effort checkpoint of hosted reduces: if the node never comes
       // back, the tracker will eventually expire and the shuffle would
-      // otherwise be lost with it.
-      if (config_.checkpoint.enabled && config_.checkpoint.emit_on_suspension) {
+      // otherwise be lost with it. The write is charged through the normal
+      // I/O model, so it usually stalls with the node and is abandoned.
+      if (config_.checkpoint.enabled) {
         for (TaskAttempt* attempt :
              info.tracker->attempts(TaskType::kReduce)) {
           attempt->maybe_checkpoint(/*forced=*/true);
